@@ -547,6 +547,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyError as exc:
+        # the surface geometry has no pairing or degree for a symbol
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -315,6 +315,10 @@ def parse(text: str, level: int):
     """Parse an expression at the given level into an AST."""
     if level < 1:
         raise ValueError("level must be at least 1")
+    if level > 9:
+        raise ParseError(
+            f"level {level} above 9: slot digits are read one at a time",
+            0, text)
     return _Parser(text, level).parse()
 
 

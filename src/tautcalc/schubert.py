@@ -13,8 +13,8 @@ from fractions import Fraction
 from itertools import product
 
 from .charpoly import CharacterPolynomial
-from .surface import LCLASS, SurfaceGeometry, default_geometry
-from .tautring import integrate_word
+from .exprparse import evaluate_integral
+from .surface import SurfaceGeometry, default_geometry
 
 __all__ = [
     "BoxPartition",
@@ -165,10 +165,12 @@ def pieri_mul(e: SchurExpr, special) -> SchurExpr:
 
 
 def grassmann_integral(box, factors) -> Fraction:
-    """Coefficient of the full box after folding the special factors."""
+    """Coefficient of the full box after folding the special factors.
+
+    Each Pieri step adds its size to the weight, so factors whose sizes
+    do not sum to a*b give 0.
+    """
     a, b = box
-    if sum(j for _, j in factors) != a * b:
-        return Fraction(0)
     e = SchurExpr.unit(box)
     for factor in factors:
         e = pieri_mul(e, factor)
@@ -190,20 +192,8 @@ NSEC3_TUPLES = tuple(
 def _w_integral(j1: int, j2: int, j3: int,
                 geo: SurfaceGeometry | None = None) -> CharacterPolynomial:
     """Integral over W^3 of (L1)^j1 (L2 - D2)^j2 (L3 - D3)^j3."""
-    total = CharacterPolynomial.zero()
-    for picks in product((0, 1), repeat=j2 + j3):
-        word = [("class", 1, LCLASS)] * j1
-        sign = 1
-        for t, p in enumerate(picks):
-            slot = 2 if t < j2 else 3
-            if p:
-                word.append(("delta", slot))
-                sign = -sign
-            else:
-                word.append(("class", slot, LCLASS))
-        piece = integrate_word(word, 3, geo)
-        total = total + CharacterPolynomial.constant(sign) * piece
-    return total
+    return evaluate_integral(
+        f"L(1)^{j1}*(L(2)-Delta<2>)^{j2}*(L(3)-Delta<3>)^{j3}", 3, geo)
 
 
 def nsec3_terms(geo: SurfaceGeometry | None = None):

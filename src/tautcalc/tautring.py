@@ -43,7 +43,6 @@ __all__ = [
     "TautExpr",
     "DimensionError",
     "UnsupportedProductError",
-    "ltimes",
     "mul_gamma_diag",
     "mul_gamma_node",
     "mul_gamma",
@@ -392,31 +391,6 @@ def node_section(m, I, split, jblocks=(), kblocks=(), flavor="reducible"):
 
 
 # -- partition surgery -------------------------------------------------
-
-
-def ltimes(pair, blocks):
-    """Join the pair into the partition: the four textbook cases."""
-    i, j = pair
-    if i == j:
-        raise ValueError("pair must have distinct entries")
-    sets = [set(b) for b in blocks]
-    hits = [idx for idx, s in enumerate(sets) if i in s or j in s]
-    if len(hits) == 2:
-        a, b = hits
-        merged = sets[a] | sets[b]
-        rest = [s for idx, s in enumerate(sets) if idx not in hits]
-        rest.append(merged)
-    elif len(hits) == 1 and not ({i, j} <= sets[hits[0]]):
-        sets[hits[0]] |= {i, j}
-        rest = sets
-    elif len(hits) == 1:
-        rest = sets
-    else:
-        sets.append({i, j})
-        rest = sets
-    out = [tuple(sorted(s)) for s in rest]
-    out.sort(key=lambda t: t[0])
-    return tuple(out)
 
 
 def _merge_pair(mono: DiagMonomial, i: int, j: int, geo) -> tuple:
@@ -978,10 +952,21 @@ def integrate(expr: TautExpr, geo: SurfaceGeometry | None = None) -> CharacterPo
                 raise DimensionError("side block of degree != 1 at dimension 0")
             value = value * _fibre_deg(key, geo)
         total = total + coeff * value
-    level = diag_part
-    for k in range(expr.m, 1, -1):
-        level = pushforward(level, geo)
-    for gen, coeff in level.terms.items():
+    return total + _push_down(diag_part, (), geo)
+
+
+def _push_down(expr: TautExpr, lower, geo) -> CharacterPolynomial:
+    """Push to the first level, reading off the point class there.
+
+    After each pushforward the Gammas of `lower` at the new level are
+    applied; this is how factors below a seeded level are evaluated.
+    """
+    for k in range(expr.m - 1, 0, -1):
+        expr = pushforward(expr, geo)
+        for _ in range(lower.count(k)):
+            expr = mul_gamma(expr, geo)
+    total = CharacterPolynomial.zero()
+    for gen, coeff in expr.terms.items():
         if gen.blocks and gen.blocks[0][1] == "pt":
             total = total + coeff
     return total
@@ -990,102 +975,75 @@ def integrate(expr: TautExpr, geo: SurfaceGeometry | None = None) -> CharacterPo
 # -- word evaluation ----------------------------------------------------
 
 
-def _distribute(factors, m):
-    """Expand delta/small-diagonal sugar into gamma-word combinations.
+def _delta(k: int) -> dict:
+    # Delta^(k) = Gamma^[k] - Gamma^[k-1]; Gamma^[1] vanishes
+    return {k: 1, k - 1: -1} if k >= 3 else {k: 1}
 
-    Yields (rational coefficient, list of primitive factors).  The
-    primitive vocabulary is ("gamma", k), ("class", slot, SurfaceClass)
-    and ("seed", TautExpr).
+
+def _expand(factors, m: int):
+    """Expand Delta and small-diagonal factors into merged Gamma words.
+
+    Returns ({sorted Gamma levels: Fraction}, classes, seed).  The
+    factors commute, so words with the same levels merge and words
+    that cancel are dropped; a Delta^(1) factor kills the whole word.
+    The small diagonal is (1/(m-1)!) prod_{k=2..m} Delta^(k).
     """
-    combos = [(Fraction(1), [])]
+    words = {(): Fraction(1)}
+    classes = []
+    seeds = []
     for factor in factors:
         kind = factor[0]
-        if kind in ("gamma", "class", "seed"):
-            combos = [(c, w + [factor]) for c, w in combos]
-            continue
-        if kind == "delta":
+        if kind == "gamma":
+            steps = [{factor[1]: 1}]
+        elif kind == "delta":
             k = factor[1]
             if k < 1 or k > m:
                 raise ValueError(f"diagonal index {k} outside level {m}")
-            alts = []
-            if k >= 2:
-                alts.append((Fraction(1), ("gamma", k)))
-            if k >= 3:
-                alts.append((Fraction(-1), ("gamma", k - 1)))
-            if not alts:
-                return  # Delta^(1) = 0 kills the word
-            combos = [(c * ac, w + [af]) for c, w in combos
-                      for ac, af in alts]
-            continue
-        if kind == "smalldiag":
-            sub = [("delta", k) for k in range(2, m + 1)]
-            scaled = []
-            for c, w in combos:
-                scaled.append((c / factorial(m - 1), w))
-            combos = scaled
-            for piece in sub:
-                combos = list(_fan(combos, piece, m))
-                if not combos:
-                    return
-            continue
-        raise ValueError(f"unknown factor {factor!r}")
-    yield from combos
-
-
-def _fan(combos, delta_factor, m):
-    k = delta_factor[1]
-    alts = []
-    if k >= 2:
-        alts.append((Fraction(1), ("gamma", k)))
-    if k >= 3:
-        alts.append((Fraction(-1), ("gamma", k - 1)))
-    for c, w in combos:
-        for ac, af in alts:
-            yield c * ac, w + [af]
-
-
-def _word_codim(word, seed):
-    codim = seed.codim() or 0 if seed is not None else 0
-    for factor in word:
-        if factor[0] == "gamma":
-            codim += 1
-        elif factor[0] == "class":
-            codim += factor[2].pure_degree()
-    return codim
-
-
-def _split_word(word):
-    gammas = {}
-    classes = []
-    seed = None
-    for factor in word:
-        if factor[0] == "gamma":
-            gammas.setdefault(factor[1], 0)
-            gammas[factor[1]] += 1
-        elif factor[0] == "class":
+            if k == 1:
+                return {}, [], None
+            steps = [_delta(k)]
+        elif kind == "smalldiag":
+            words = {w: c / factorial(m - 1) for w, c in words.items()}
+            steps = [_delta(k) for k in range(2, m + 1)]
+        elif kind == "class":
             classes.append(factor)
+            continue
+        elif kind == "seed":
+            seeds.append(factor[1])
+            continue
         else:
-            if seed is not None:
-                raise UnsupportedProductError(
-                    "products of two seeded classes are not supported")
-            seed = factor[1]
-    return gammas, classes, seed
-
-
-def _eval_word_up(coeff, word, m, geo):
-    """Bottom-up evaluation: lower-level gammas first, then pull up."""
-    gammas, classes, seed = _split_word(word)
-    if any(k == 1 for k in gammas):
-        return TautExpr(m)
-    if seed is not None and any(k < seed.m for k in gammas):
+            raise ValueError(f"unknown factor {factor!r}")
+        for step in steps:
+            merged = {}
+            for word, c in words.items():
+                for k, a in step.items():
+                    key = tuple(sorted(word + (k,)))
+                    merged[key] = merged.get(key, 0) + c * a
+            words = {w: c for w, c in merged.items() if c}
+    if len(seeds) > 1:
         raise UnsupportedProductError(
-            "gamma factors below the seeded level need the integral pipeline")
-    start = seed.m if seed is not None else min(gammas, default=m)
+            "products of two seeded classes are not supported")
+    return words, classes, seeds[0] if seeds else None
+
+
+def _codim(words, classes, seed) -> int:
+    """Codimension of an expanded word; every merged word shares it."""
+    codim = (seed.codim() or 0) if seed is not None else 0
+    codim += len(next(iter(words)))
+    return codim + sum(cls.pure_degree() for _kind, _slot, cls in classes)
+
+
+def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
+    """Up pass: from the seed's level, or the lowest Gamma, up to level m.
+
+    The Gammas at each level are applied before pulling back; Gammas
+    below a seed's level are left for the down pass.  The slot classes
+    are multiplied in at the top.
+    """
+    start = seed.m if seed is not None else min(levels, default=m)
     expr = seed if seed is not None else unit(start)
-    if expr.m != start:
-        raise UnsupportedProductError("seed level mismatch")
     for k in range(start, m + 1):
-        for _ in range(gammas.get(k, 0)):
+        for _ in range(levels.count(k)):
             expr = mul_gamma(expr, geo)
         if k < m:
             expr = pullback(expr, geo)
@@ -1095,7 +1053,7 @@ def _eval_word_up(coeff, word, m, geo):
             for g2, c2 in mul_class(gen, slot, cls, geo).terms.items():
                 nxt.add(g2, c * c2)
         expr = nxt
-    return expr.scale(coeff)
+    return expr
 
 
 def expand_monomial(factors, m: int, geo: SurfaceGeometry | None = None,
@@ -1111,11 +1069,20 @@ def expand_monomial(factors, m: int, geo: SurfaceGeometry | None = None,
     factors = list(factors)
     if seed is not None:
         factors.append(("seed", seed))
+    words, classes, wseed = _expand(factors, m)
     out = TautExpr(m)
-    for coeff, word in _distribute(factors, m):
-        if _word_codim(word, seed) > m + 1:
-            raise DimensionError("word exceeds the dimension of the level")
-        out = out + _eval_word_up(coeff, word, m, geo)
+    if not words:
+        return out
+    if _codim(words, classes, seed) > m + 1:
+        raise DimensionError("word exceeds the dimension of the level")
+    if 1 in next(iter(words)):
+        return out
+    for levels, coeff in words.items():
+        if wseed is not None and any(k < wseed.m for k in levels):
+            raise UnsupportedProductError(
+                "gamma factors below the seeded level need the integral pipeline")
+        for gen, c in _eval_up(levels, classes, wseed, m, geo).terms.items():
+            out.add(gen, c * coeff)
     return out
 
 
@@ -1131,40 +1098,19 @@ def integrate_word(factors, m: int, geo: SurfaceGeometry | None = None,
     factors = list(factors)
     if seed is not None:
         factors.append(("seed", seed))
+    words, classes, seed = _expand(factors, m)
     total = CharacterPolynomial.zero()
-    for coeff, word in _distribute(factors, m):
-        gammas, classes, wseed = _split_word(word)
-        if any(k == 1 for k in gammas):
-            continue
-        codim = _word_codim(word, wseed)
-        if codim != m + 1:
-            raise DimensionError(
-                f"word has codimension {codim}, integration needs {m + 1}")
-        if wseed is None or all(k >= wseed.m for k in gammas):
-            expr = _eval_word_up(coeff, word, m, geo)
-            total = total + integrate(expr, geo)
-            continue
-        # top-down: evaluate everything at or above the seed level,
-        # then push and apply the remaining lower gammas
-        expr = wseed.scale(coeff)
-        for k in range(wseed.m, m + 1):
-            for _ in range(gammas.get(k, 0)):
-                expr = mul_gamma(expr, geo)
-            if k < m:
-                expr = pullback(expr, geo)
-        for _kind, slot, cls in classes:
-            nxt = TautExpr(m)
-            for gen, c in expr.terms.items():
-                for g2, c2 in mul_class(gen, slot, cls, geo).terms.items():
-                    nxt.add(g2, c * c2)
-            expr = nxt
-        for k in range(m, 1, -1):
-            expr = pushforward(expr, geo)
-            for _ in range(gammas.get(k - 1, 0) if k - 1 < wseed.m else 0):
-                expr = mul_gamma(expr, geo)
-        for gen, c in expr.terms.items():
-            if gen.blocks and gen.blocks[0][1] == "pt":
-                total = total + c
+    if not words or 1 in next(iter(words)):
+        return total
+    codim = _codim(words, classes, seed)
+    if codim != m + 1:
+        raise DimensionError(
+            f"word has codimension {codim}, integration needs {m + 1}")
+    for levels, coeff in words.items():
+        expr = _eval_up(levels, classes, seed, m, geo)
+        lower = [k for k in levels if seed is not None and k < seed.m]
+        value = _push_down(expr, lower, geo) if lower else integrate(expr, geo)
+        total = total + coeff * value
     return total
 
 

@@ -93,6 +93,11 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="unknown character 'sigmaX'"):
             evaluate_normal("sigmaX", 2)
 
+    def test_level_above_nine_refused(self):
+        # slot digits are read one at a time, so F(1|10:) cannot parse
+        with pytest.raises(ParseError, match="level 10 above 9"):
+            evaluate_normal("Gamma<10>", 10)
+
     def test_truncated_input(self):
         with pytest.raises(ParseError, match="expected expression"):
             evaluate_normal("Delta<2>^2 + ", 2)
@@ -127,6 +132,13 @@ class TestCliValues:
         quadric = run_cli(["schubert", "--box", "2,2",
                            "--factors", "r1,r1,r1,r1"])
         assert quadric == (0, "2\n", "")
+
+    def test_schubert_factor_outside_box(self):
+        # refused even though the weights already rule out the box
+        code, out, err = run_cli(["schubert", "--box", "2,4",
+                                  "--factors", "r9"])
+        assert (code, out) == (2, "")
+        assert err == "error: special class size 9 outside box (2, 4)\n"
 
     def test_ord_table(self):
         code, out, _ = run_cli(["ord-table", "-m", "3"])
@@ -263,6 +275,18 @@ class TestCliExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_level_above_nine_exits_at_once(self):
+        code, out, err = run_cli(["integrate", "-m", "10", "Gamma<10>^11"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: level 10 above 9")
+
+    def test_unpaired_divisors_exit_cleanly(self):
+        code, out, err = run_cli(["integrate", "-m", "2",
+                                  "L(1)*M(2)*Delta<2>"])
+        assert (code, out) == (2, "")
+        assert err == ("error: no pairing registered for divisors"
+                       " 'L', 'M'\n")
 
 
 class TestVerifyBattery:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -18,7 +20,6 @@ from tautcalc.tautring import (
     expand_monomial,
     integrate,
     integrate_word,
-    ltimes,
     mul_class,
     mul_gamma,
     node_scroll,
@@ -65,6 +66,10 @@ def D(k):
 
 def L(i):
     return ("class", i, LCLASS)
+
+
+def O(i):
+    return ("class", i, OMEGA)
 
 
 def ffill(m, I):
@@ -321,6 +326,75 @@ class TestSmallDiagonal:
             assert got == want
 
 
+def gamma_words(word):
+    """The 2^d explicit Gamma words of a word with d Delta factors.
+
+    Delta<k> = Gamma<k> - Gamma<k-1>, written out one factor at a time
+    and never merged; the Gamma<1> words are left for the engine to
+    kill.
+    """
+    combos = [(1, [])]
+    for f in word:
+        alts = [(1, f)]
+        if f[0] == "delta":
+            alts = [(1, G(f[1])), (-1, G(f[1] - 1))]
+        combos = [(c * s, w + [g]) for c, w in combos for s, g in alts]
+    return combos
+
+
+def level_atoms(m):
+    return ([D(k) for k in range(2, m + 1)]
+            + [L(i) for i in range(1, m + 1)]
+            + [O(i) for i in range(1, m + 1)])
+
+
+class TestSingleExpansion:
+    def test_top_degree_integrals_match_gamma_words(self):
+        for word in combinations_with_replacement(level_atoms(3), 4):
+            if not any(f[0] == "delta" for f in word):
+                continue
+            want = CP.zero()
+            for sign, gword in gamma_words(word):
+                want = want + sign * integrate_word(gword, 3)
+            assert integrate_word(list(word), 3) == want, word
+
+    def test_degree_two_normal_forms_match_gamma_words(self):
+        for m in (2, 3):
+            for word in combinations_with_replacement(level_atoms(m), 2):
+                want = TautExpr(m)
+                for sign, gword in gamma_words(word):
+                    want = want + expand_monomial(gword, m).scale(sign)
+                assert expand_monomial(list(word), m) == want, word
+
+    def test_small_diagonal_is_scaled_delta_product(self):
+        for m in (2, 3):
+            deltas = [D(k) for k in range(2, m + 1)]
+            scale = Fraction(1, factorial(m - 1))
+            assert (expand_monomial([("smalldiag",)], m)
+                    == expand_monomial(deltas, m).scale(scale))
+            for low in range(2, m + 1):
+                word = [G(m), G(low)]
+                assert (integrate_word(word + [("smalldiag",)], m)
+                        == scale * integrate_word(word + deltas, m))
+
+    def test_level_one_factors_kill_words(self):
+        # integrate_word kills before its codimension check
+        for m in (2, 3):
+            assert integrate_word([G(1)], m) == CP.zero()
+            assert integrate_word([D(1)], m) == CP.zero()
+            assert integrate_word([G(1)] + [G(m)] * m, m) == CP.zero()
+        # expand_monomial checks the codimension before Gamma<1> kills,
+        # while Delta<1> kills during the expansion itself
+        assert expand_monomial([G(1), G(2)], 3).is_zero()
+        with pytest.raises(DimensionError):
+            expand_monomial([G(1)] * 5, 3)
+        assert expand_monomial([D(1)] * 5, 3).is_zero()
+        # factors after Delta<1> are never read; those before it are
+        assert integrate_word([D(1), D(4)], 3) == CP.zero()
+        with pytest.raises(ValueError):
+            integrate_word([D(4), D(1)], 3)
+
+
 class TestNodeSeeds:
     def test_scroll_seed_integrals(self):
         seed = ffill(3, (1, 3))
@@ -450,12 +524,6 @@ class TestChern:
 
 
 class TestRuleHygiene:
-    def test_ltimes_cases(self):
-        assert ltimes((1, 3), ((1, 2), (3, 4))) == ((1, 2, 3, 4),)
-        assert ltimes((2, 5), ((1, 2),)) == ((1, 2, 5),)
-        assert ltimes((4, 5), ((1, 2),)) == ((1, 2), (4, 5))
-        assert ltimes((1, 2), ((1, 2, 3),)) == ((1, 2, 3),)
-
     def test_orthogonality(self):
         # a positive-degree class at a colliding or side slot kills a
         # node generator
