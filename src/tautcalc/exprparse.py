@@ -314,7 +314,7 @@ class _Parser:
 def parse(text: str, level: int):
     """Parse an expression at the given level into an AST."""
     if level < 1:
-        raise ValueError("level must be at least 1")
+        raise ParseError(f"level {level} below 1", 0, text)
     if level > 9:
         raise ParseError(
             f"level {level} above 9: slot digits are read one at a time",

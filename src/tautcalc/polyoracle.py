@@ -2,9 +2,11 @@
 
 The local model of the punctual locus lives in this quotient ring.  Its
 distinguished generators G_i are signed determinants of mixed
-Vandermonde matrices; the chain and syzygy identities they satisfy, and
-the t-adic valuations of their restrictions to coordinate arcs, are the
-ground truth that the intersection calculus is checked against.
+Vandermonde matrices.  Every matrix entry is a single monomial, so each
+determinant is its Leibniz expansion: one +-1 term per permutation.  The
+chain and syzygy identities the G_i satisfy, and the t-adic valuations
+of their restrictions to coordinate arcs, are the ground truth that the
+intersection calculus is checked against.
 
 Monomials x^a y^b t^e with some min(a_i, b_i) > 0 are reduced by
 x_i y_i -> t.  Reduced monomials stay reduced under multiplication by
@@ -15,23 +17,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
-Coeff = Fraction
+Coeff = int | Fraction
 
 
 class ValuationInstabilityError(RuntimeError):
     """Arc valuations kept disagreeing across random parameter draws."""
 
 
-class ExactDivisionError(ArithmeticError):
-    pass
-
-
 class QuotPoly:
     """Element of the quotient ring at level m, kept in normal form.
 
-    Keys are integer tuples (x_1..x_m, y_1..y_m, t).
+    Keys are integer tuples (x_1..x_m, y_1..y_m, t).  Integer
+    coefficients stay int; any other coefficient becomes a Fraction.
     """
 
     __slots__ = ("m", "terms")
@@ -41,11 +40,11 @@ class QuotPoly:
         raw = terms or {}
         out: dict[tuple, Coeff] = {}
         for mono, coeff in raw.items():
-            c = Fraction(coeff)
+            c = coeff if isinstance(coeff, int) else Fraction(coeff)
             if not c:
                 continue
             key = _reduce_mono(m, mono) if reduce else tuple(mono)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         self.terms = {k: v for k, v in out.items() if v}
 
     @classmethod
@@ -54,7 +53,7 @@ class QuotPoly:
 
     @classmethod
     def constant(cls, m: int, value) -> "QuotPoly":
-        return cls(m, {(0,) * (2 * m + 1): Fraction(value)})
+        return cls(m, {(0,) * (2 * m + 1): value})
 
     @classmethod
     def variable(cls, m: int, name: str, index: int = 0) -> "QuotPoly":
@@ -67,7 +66,7 @@ class QuotPoly:
             mono[2 * m] = 1
         else:
             raise ValueError(f"unknown variable {name!r}")
-        return cls(m, {tuple(mono): Fraction(1)})
+        return cls(m, {tuple(mono): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -76,7 +75,7 @@ class QuotPoly:
         assert self.m == other.m
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
+            s = out.get(mono, 0) + c
             if s:
                 out[mono] = s
             else:
@@ -99,7 +98,7 @@ class QuotPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = _reduce_mono(self.m, tuple(a + b for a, b in zip(m1, m2)))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return QuotPoly(self.m, out, reduce=False)
 
     __rmul__ = __mul__
@@ -142,142 +141,31 @@ def normalize(m: int, terms: dict) -> QuotPoly:
     return QuotPoly(m, terms)
 
 
-# -- determinants over the free polynomial ring ------------------------
-
-# Free-ring polynomials reuse the same exponent tuples but are never
-# reduced; the quotient map is applied once at the end.
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[tuple, Coeff] = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(m1, m2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_sub(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for mono, c in q.items():
-        s = out.get(mono, Fraction(0)) - c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def _poly_exact_div(n: dict, d: dict) -> dict:
-    """Divide n by d in the free ring, failing loudly if not exact."""
-    if not d:
-        raise ZeroDivisionError
-    quotient: dict[tuple, Coeff] = {}
-    work = dict(n)
-    d_lead = max(d)
-    while work:
-        lead = max(work)
-        diff = tuple(a - b for a, b in zip(lead, d_lead))
-        if any(e < 0 for e in diff):
-            raise ExactDivisionError("division left a remainder")
-        scale = work[lead] / d[d_lead]
-        quotient[diff] = scale
-        work = _poly_sub(work, _poly_mul({diff: scale}, d))
-    return quotient
-
-
-def _det_bareiss(matrix: list[list[dict]], width: int) -> dict:
-    """Fraction-free Bareiss elimination; entries are free-ring polys."""
-    n = len(matrix)
-    a = [[dict(e) for e in row] for row in matrix]
-    one = {(0,) * width: Fraction(1)}
-    prev = one
-    sign = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot_row is None:
-                return {}
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _poly_sub(
-                    _poly_mul(a[k][k], a[i][j]), _poly_mul(a[i][k], a[k][j])
-                )
-                a[i][j] = _poly_exact_div(num, prev) if prev != one else num
-            a[i][k] = {}
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else {k: -v for k, v in det.items()}
-
-
-def _det_cofactor(matrix: list[list[dict]]) -> dict:
-    """Laplace expansion with memoization on column subsets."""
-    n = len(matrix)
-    cache: dict[tuple, dict] = {(): {}}
-
-    def minor(row: int, cols: tuple) -> dict:
-        if row == n:
-            return {}
-        if (row, cols) in cache:
-            return cache[(row, cols)]
-        total: dict[tuple, Coeff] = {}
-        for pos, col in enumerate(cols):
-            entry = matrix[row][col]
-            if not entry:
-                continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            if row == n - 1:
-                piece = entry
-            elif not sub:
-                continue
-            else:
-                piece = _poly_mul(entry, sub)
-            if pos % 2:
-                piece = {k: -v for k, v in piece.items()}
-            for mono, c in piece.items():
-                s = total.get(mono, Fraction(0)) + c
-                if s:
-                    total[mono] = s
-                else:
-                    total.pop(mono, None)
-        cache[(row, cols)] = total
-        return total
-
-    return minor(0, tuple(range(n)))
+# -- the generators G_i ------------------------------------------------
 
 
 def vdm_det(m: int, i: int) -> QuotPoly:
     """Mixed Vandermonde generator G_i as a normalized quotient element.
 
     Row degrees are 1, x, ..., x^(m-i), y, ..., y^(i-1); column k uses
-    the variables x_k, y_k.  The sign is fixed so the lexicographically
-    leading monomial is positive.
+    the variables x_k, y_k.  Every entry is a single monomial and every
+    row a different variable power, so the Leibniz expansion over the
+    permutations of the columns gives m! distinct monomials with
+    coefficients +-1 and nothing cancels.  The sign is fixed so the
+    lexicographically leading monomial is positive.
     """
     if not 1 <= i <= m:
         raise ValueError(f"generator index {i} out of range for level {m}")
-    width = 2 * m + 1
-
-    def entry(var: str, index: int, power: int) -> dict:
-        mono = [0] * width
-        if power:
-            mono[index - 1 if var == "x" else m + index - 1] = power
-        return {tuple(mono): Fraction(1)}
-
-    rows: list[list[dict]] = []
-    for p in range(m - i + 1):
-        rows.append([entry("x", k, p) for k in range(1, m + 1)])
-    for p in range(1, i):
-        rows.append([entry("y", k, p) for k in range(1, m + 1)])
-    try:
-        det = _det_bareiss(rows, width)
-    except ExactDivisionError:
-        if m > 4:
-            raise
-        det = _det_cofactor(rows)
-    if not det:
-        return QuotPoly.zero(m)
+    # (exponent offset, power) per row: x-powers sit at offset 0, y at m
+    rows = [(0, p) for p in range(m - i + 1)] + [(m, p) for p in range(1, i)]
+    det: dict[tuple, int] = {}
+    for perm in permutations(range(m)):
+        mono = [0] * (2 * m + 1)
+        for (offset, power), col in zip(rows, perm):
+            if power:
+                mono[offset + col] = power
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        det[tuple(mono)] = -1 if inversions % 2 else 1
     if det[max(det)] < 0:
         det = {k: -v for k, v in det.items()}
     return QuotPoly(m, det)
@@ -293,14 +181,14 @@ def elementary_symmetric(m: int, k: int, variable: str) -> QuotPoly:
         mono = [0] * (2 * m + 1)
         for idx in subset:
             mono[offset + idx] = 1
-        terms[tuple(mono)] = Fraction(1)
+        terms[tuple(mono)] = 1
     return QuotPoly(m, terms)
 
 
 def _t_power(m: int, e: int) -> QuotPoly:
     mono = [0] * (2 * m + 1)
     mono[2 * m] = e
-    return QuotPoly(m, {tuple(mono): Fraction(1)})
+    return QuotPoly(m, {tuple(mono): 1})
 
 
 def _match_up_to_sign(lhs: QuotPoly, rhs: QuotPoly) -> int:

@@ -9,8 +9,10 @@ bivariate Buchberger loop in degrevlex order with x > y.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb
 
 Mono = tuple[int, int]
@@ -94,13 +96,17 @@ def _add(p: Poly, q: Poly) -> Poly:
 
 def normal_form(p: Poly, basis: list[Poly]) -> Poly:
     """Fully reduce p against the basis."""
+    return _reduce(p, basis, [leading_monomial(g) for g in basis])
+
+
+def _reduce(p: Poly, basis: list[Poly], lms: list[Mono]) -> Poly:
+    # normal_form with the basis' leading monomials given
     remainder: Poly = {}
     work = dict(p)
     while work:
         lm = leading_monomial(work)
         lc = work[lm]
-        for g in basis:
-            glm = leading_monomial(g)
+        for g, glm in zip(basis, lms):
             if _divides(glm, lm):
                 shift = (lm[0] - glm[0], lm[1] - glm[1])
                 work = _add(work, _shift_scale(g, shift, -lc / g[glm]))
@@ -113,21 +119,30 @@ def normal_form(p: Poly, basis: list[Poly]) -> Poly:
 
 def buchberger(gens) -> list[Poly]:
     basis = [dict(g) for g in gens if g]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    lms = [leading_monomial(g) for g in basis]
+    # pairs leave by lcm degree, to keep intermediate growth down, and
+    # in the order they were queued among equal degrees
+    pairs: list[tuple[int, int, int, int]] = []
+    order = count()
+
+    def queue_pairs(i: int) -> None:
+        for j in range(i):
+            lmi, lmj = lms[i], lms[j]
+            if len(basis[i]) == 1 and len(basis[j]) == 1:
+                continue  # two monomials: the S-polynomial is 0
+            if min(lmi[0], lmj[0]) == 0 and min(lmi[1], lmj[1]) == 0:
+                continue  # coprime leading terms: it reduces to 0
+            heapq.heappush(pairs, (_deg(_lcm(lmi, lmj)), next(order), i, j))
+
+    for i in range(len(basis)):
+        queue_pairs(i)
     while pairs:
-        # process pairs by lcm degree to keep intermediate growth down
-        pairs.sort(key=lambda ij: _deg(_lcm(leading_monomial(basis[ij[0]]),
-                                             leading_monomial(basis[ij[1]]))))
-        i, j = pairs.pop(0)
-        lmi, lmj = leading_monomial(basis[i]), leading_monomial(basis[j])
-        if min(lmi[0], lmj[0]) == 0 and min(lmi[1], lmj[1]) == 0:
-            # coprime leading terms, S-polynomial reduces to zero
-            continue
-        s = _s_poly(basis[i], basis[j])
-        s = normal_form(s, basis)
+        _, _, i, j = heapq.heappop(pairs)
+        s = _reduce(_s_poly(basis[i], lms[i], basis[j], lms[j]), basis, lms)
         if s:
             basis.append(s)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
+            lms.append(leading_monomial(s))
+            queue_pairs(len(basis) - 1)
     return basis
 
 
@@ -135,8 +150,7 @@ def _lcm(a: Mono, b: Mono) -> Mono:
     return (max(a[0], b[0]), max(a[1], b[1]))
 
 
-def _s_poly(p: Poly, q: Poly) -> Poly:
-    lp, lq = leading_monomial(p), leading_monomial(q)
+def _s_poly(p: Poly, lp: Mono, q: Poly, lq: Mono) -> Poly:
     lcm = _lcm(lp, lq)
     left = _shift_scale(p, (lcm[0] - lp[0], lcm[1] - lp[1]), Fraction(1) / p[lp])
     right = _shift_scale(q, (lcm[0] - lq[0], lcm[1] - lq[1]), Fraction(1) / q[lq])
@@ -169,7 +183,7 @@ def _beta_single(m: int, j: int, eta: Fraction) -> int:
     return colength(gens + [binom])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _beta_cached(m: int, j: int, etas: tuple[Fraction, ...]) -> int:
     values = {_beta_single(m, j, Fraction(e)) for e in etas}
     if len(values) != 1:

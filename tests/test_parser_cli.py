@@ -281,6 +281,12 @@ class TestCliExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: level 10 above 9")
 
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_level_below_one_exits_at_once(self, level):
+        code, out, err = run_cli(["integrate", "-m", level, "L(1)"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: level {level} below 1")
+
     def test_unpaired_divisors_exit_cleanly(self):
         code, out, err = run_cli(["integrate", "-m", "2",
                                   "L(1)*M(2)*Delta<2>"])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -58,6 +59,16 @@ def test_normal_form_confluent_randomized():
         assert left == right
 
 
+def test_integer_coefficients_stay_int():
+    m = 3
+    p = (x(m, 1) - 2 * y(m, 2)) * vdm_det(m, 2)
+    assert all(type(c) is int for c in p.terms.values())
+    half = QuotPoly.constant(m, Fraction(1, 2))
+    assert half * 2 == QuotPoly.constant(m, 1)
+    three_quarters = QuotPoly.constant(m, Fraction(3, 4))
+    assert QuotPoly(m, {(0,) * 7: "3/4"}) == three_quarters
+
+
 def test_reduced_monomials_stay_reduced_under_t():
     m = 2
     p = x(m, 1) * y(m, 2) - 3 * y(m, 1) * y(m, 2)
@@ -75,19 +86,49 @@ def test_vdm_small():
     assert g2 == y(m, 1) - y(m, 2)
 
 
-def test_vdm_bareiss_matches_cofactor():
-    from tautcalc import polyoracle
+def _poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            key = tuple(a + b for a, b in zip(m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
 
-    for m in range(2, 5):
+
+def _det_cofactor(matrix):
+    """Laplace expansion along the rows, memoized on column subsets."""
+    n = len(matrix)
+    cache = {}
+
+    def minor(row, cols):
+        if row == n - 1:
+            return matrix[row][cols[0]]
+        if (row, cols) not in cache:
+            total = {}
+            for pos, col in enumerate(cols):
+                piece = _poly_mul(matrix[row][col],
+                                  minor(row + 1, cols[:pos] + cols[pos + 1:]))
+                for mono, c in piece.items():
+                    total[mono] = total.get(mono, 0) + (-c if pos % 2 else c)
+            cache[(row, cols)] = {k: v for k, v in total.items() if v}
+        return cache[(row, cols)]
+
+    return minor(0, tuple(range(n)))
+
+
+def test_vdm_matches_laplace():
+    # the Leibniz expansion in vdm_det against an independent Laplace
+    # expansion of the same free-ring matrix
+    for m in range(1, 6):
+        width = 2 * m + 1
+
+        def entry(var, k, p):
+            mono = [0] * width
+            if p:
+                mono[k - 1 if var == "x" else m + k - 1] = p
+            return {tuple(mono): 1}
+
         for i in range(1, m + 1):
-            width = 2 * m + 1
-
-            def entry(var, k, p):
-                mono = [0] * width
-                if p:
-                    mono[k - 1 if var == "x" else m + k - 1] = p
-                return {tuple(mono): Fraction(1)}
-
             rows = [
                 [entry("x", k, p) for k in range(1, m + 1)]
                 for p in range(m - i + 1)
@@ -95,9 +136,10 @@ def test_vdm_bareiss_matches_cofactor():
                 [entry("y", k, p) for k in range(1, m + 1)]
                 for p in range(1, i)
             ]
-            a = polyoracle._det_bareiss(rows, width)
-            b = polyoracle._det_cofactor(rows)
-            assert a == b or a == {k: -v for k, v in b.items()}
+            laplace = QuotPoly(m, _det_cofactor(rows))
+            g = vdm_det(m, i)
+            assert g in (laplace, -laplace)
+            assert len(g.terms) == factorial(m)
 
 
 def test_chain_identities():

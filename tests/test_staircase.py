@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from tautcalc.staircase import (
+    _beta_cached,
     GenericityError,
     InfiniteColengthError,
     alpha,
@@ -68,6 +69,47 @@ def test_normal_form_and_groebner_completion():
     corners = minimalize(leading_monomial(g) for g in basis)
     assert (2, 0) in corners
     assert normal_form(monomial_poly((5, 5)), basis) == {}
+
+
+def _s_polynomial(p, q):
+    lp, lq = leading_monomial(p), leading_monomial(q)
+    lcm = (max(lp[0], lq[0]), max(lp[1], lq[1]))
+    out = {}
+    for g, lg, sign in ((p, lp, 1), (q, lq, -1)):
+        scale = Fraction(sign) / g[lg]
+        for (a, b), c in g.items():
+            key = (a + lcm[0] - lg[0], b + lcm[1] - lg[1])
+            out[key] = out.get(key, 0) + c * scale
+    return {k: v for k, v in out.items() if v}
+
+
+@pytest.mark.parametrize("eta",
+                         [Fraction(1), Fraction(-3, 5), Fraction(97, 31)])
+def test_buchberger_criterion_on_staircase_binomials(eta):
+    # every S-pair of the returned basis reduces to zero, whatever order
+    # the pairs were processed in
+    for m in range(2, 9):
+        for j in range(1, m):
+            gens = [monomial_poly(c) for c in j_m(m)]
+            gens.append({(0, j): Fraction(1), (m - j, 0): eta})
+            basis = buchberger(gens)
+            for a in range(len(basis)):
+                for b in range(a):
+                    s = _s_polynomial(basis[a], basis[b])
+                    assert normal_form(s, basis) == {}, (m, j, a, b)
+
+
+@pytest.mark.parametrize("etas", [(1, 2), (Fraction(-3, 5), Fraction(97, 31))])
+def test_beta_closed_form(etas):
+    for m in range(2, 13):
+        assert beta(m, etas=etas) == tuple(
+            m * j * (m - j) // 2 for j in range(1, m))
+
+
+def test_beta_cache_is_bounded():
+    for k in range(1, 301):
+        assert beta(2, etas=(k, k + 1)) == (1,)
+    assert _beta_cached.cache_info().currsize <= 128
 
 
 def test_colength_infinite_detection():
