@@ -39,8 +39,9 @@ class CharacterPolynomial:
     """Polynomial over Q in registered character symbols.
 
     Internally a map from monomials to coefficients, where a monomial is
-    the tuple of its symbol names sorted ascending (with multiplicity).
-    Immutable; all operations return fresh instances.
+    the tuple of its symbol names sorted ascending (with multiplicity)
+    and every coefficient is a nonzero Fraction.  Immutable: operations
+    never change an operand, though they may return one unchanged.
     """
 
     __slots__ = ("_terms",)
@@ -55,21 +56,29 @@ class CharacterPolynomial:
         self._terms = {k: v for k, v in cleaned.items() if v}
 
     @classmethod
+    def _from_normal(cls, terms: dict) -> "CharacterPolynomial":
+        # terms must already be normal: sorted monomials, nonzero Fractions
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def zero(cls) -> "CharacterPolynomial":
-        return cls()
+        return cls._from_normal({})
 
     @classmethod
     def one(cls) -> "CharacterPolynomial":
-        return cls({(): Fraction(1)})
+        return cls._from_normal({(): Fraction(1)})
 
     @classmethod
     def constant(cls, value) -> "CharacterPolynomial":
-        return cls({(): Fraction(value)})
+        c = Fraction(value)
+        return cls._from_normal({(): c} if c else {})
 
     @classmethod
     def symbol(cls, name: str) -> "CharacterPolynomial":
         register_character(name)
-        return cls({(name,): Fraction(1)})
+        return cls._from_normal({(name,): Fraction(1)})
 
     # -- queries ------------------------------------------------------
 
@@ -104,15 +113,24 @@ class CharacterPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return CharacterPolynomial(out)
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return CharacterPolynomial._from_normal(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CharacterPolynomial({m: -c for m, c in self._terms.items()})
+        return CharacterPolynomial._from_normal(
+            {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -130,12 +148,22 @@ class CharacterPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return ZERO
+        if len(b) == 1 and () in b:
+            a, b = b, a
+        if len(a) == 1 and () in a:
+            # a constant factor scales the coefficients and keeps the monomials
+            c = a[()]
+            return CharacterPolynomial._from_normal({m: c * v for m, v in b.items()})
         out: dict[tuple[str, ...], Rational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return CharacterPolynomial(out)
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+        return CharacterPolynomial._from_normal(
+            {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 

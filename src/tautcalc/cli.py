@@ -29,7 +29,7 @@ from .polyoracle import (
     printed_eta_exponent,
     printed_ord_formula,
 )
-from .schubert import NSEC3_TUPLES, grassmann_integral, nsec3, nsec3_terms
+from .schubert import NSEC3_TUPLES, _nsec3_sum, grassmann_integral, nsec3_terms
 from .staircase import (
     alpha,
     beta,
@@ -232,10 +232,11 @@ def cmd_schubert(args) -> int:
 
 def cmd_nsec3(args) -> int:
     assignment = _load_assignment(args.chars)
-    total = _finish(nsec3(), assignment)
+    terms = nsec3_terms()
+    total = _finish(_nsec3_sum(terms), assignment)
     _emit(args, [("nsec3", total.render())])
     if args.breakdown:
-        for (j1, j2, j3), (g, w) in sorted(nsec3_terms().items()):
+        for (j1, j2, j3), (g, w) in sorted(terms.items()):
             wtext = _finish(w, assignment).render()
             print(f"term j=({j1},{j2},{j3}) G={g} W={wtext}")
     if total.is_constant():
@@ -439,7 +440,7 @@ def _battery():
          and not terms[(2, 0, 2)][1].is_zero(),
          "ten exponent tuples contribute; the printed list omits (3,0,1),"
          " which vanishes, and (2,0,2), which does not")
-    total = nsec3()
+    total = _nsec3_sum(terms)
     frozen = (3 * L2 * dL * dL + 6 * dL * sigma - 12 * dL * omegaL
               - 3 * dL * omega2 - 3 * L2 * _sym("g2") - 27 * L2 * dL
               - 12 * sigma + 72 * omegaL + 28 * omega2 + 60 * L2)

@@ -37,7 +37,7 @@ from .surface import (
     SurfaceGeometry,
     default_geometry,
 )
-from .tautring import DiagMonomial, NodeClass, TautExpr, expand_monomial, integrate_word
+from .tautring import DiagMonomial, NodeClass, TautExpr, _integrate_words, _normal_words
 
 __all__ = [
     "ParseError",
@@ -400,21 +400,12 @@ def to_words(ast, m: int):
 def evaluate_normal(text: str, m: int,
                     geo: SurfaceGeometry | None = None) -> TautExpr:
     """Parse and expand an expression to its normal form at level m."""
-    geo = geo or default_geometry()
-    out = TautExpr(m)
-    for coeff, word in to_words(parse(text, m), m):
-        if not word:
-            out = out + TautExpr(m, {DiagMonomial(m): coeff})
-            continue
-        out = out + expand_monomial(list(word), m, geo).scale(coeff)
-    return out
+    return _normal_words(to_words(parse(text, m), m), m,
+                         geo or default_geometry())
 
 
 def evaluate_integral(text: str, m: int,
                       geo: SurfaceGeometry | None = None) -> CharacterPolynomial:
     """Parse an expression and integrate it over the level-m space."""
-    geo = geo or default_geometry()
-    total = CharacterPolynomial.zero()
-    for coeff, word in to_words(parse(text, m), m):
-        total = total + coeff * integrate_word(list(word), m, geo)
-    return total
+    return _integrate_words(to_words(parse(text, m), m), m,
+                            geo or default_geometry())

@@ -136,11 +136,6 @@ def _reduce_mono(m: int, mono) -> tuple:
     return tuple(mono)
 
 
-def normalize(m: int, terms: dict) -> QuotPoly:
-    """Public entry: reduce an arbitrary term dictionary."""
-    return QuotPoly(m, terms)
-
-
 # -- the generators G_i ------------------------------------------------
 
 

@@ -214,7 +214,12 @@ def nsec3(geo: SurfaceGeometry | None = None) -> CharacterPolynomial:
     Assembles sum over exponent tuples of (Grassmannian degree) times
     (fibre-power integral); divide by 6 for the count itself.
     """
+    return _nsec3_sum(nsec3_terms(geo))
+
+
+def _nsec3_sum(terms) -> CharacterPolynomial:
+    """Assemble 3! N3 from an nsec3_terms breakdown."""
     total = CharacterPolynomial.zero()
-    for g, w in nsec3_terms(geo).values():
-        total = total + CharacterPolynomial.constant(g) * w
+    for g, w in terms.values():
+        total = total + g * w
     return total

@@ -24,18 +24,11 @@ guess instead fails every cross-check of the integral battery.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
 from .charpoly import CharacterPolynomial
-from .staircase import beta
 from .surface import FIBRE, SurfaceClass, SurfaceGeometry, default_geometry
-
-
-@lru_cache(maxsize=None)
-def _beta_row(size: int) -> tuple:
-    return beta(size)
 
 __all__ = [
     "DiagMonomial",
@@ -55,7 +48,6 @@ __all__ = [
     "integrate_word",
     "chern_taut",
     "unit",
-    "diag",
     "node_scroll",
     "node_section",
 ]
@@ -282,19 +274,21 @@ class TautExpr:
                 self.add(gen, coeff)
 
     def add(self, gen, coeff):
-        coeff = _as_char(coeff)
-        if coeff.is_zero():
+        if not isinstance(coeff, CharacterPolynomial):
+            coeff = _as_char(coeff)
+        if not coeff:
             return
         if gen.m != self.m:
             raise ValueError("level mismatch")
         if gen.codim() > self.m + 1:
             return
         cur = self.terms.get(gen)
-        total = coeff if cur is None else cur + coeff
-        if total.is_zero():
-            self.terms.pop(gen, None)
-        else:
-            self.terms[gen] = total
+        if cur is not None:
+            coeff = cur + coeff
+            if not coeff:
+                del self.terms[gen]
+                return
+        self.terms[gen] = coeff
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -342,42 +336,13 @@ class TautExpr:
 def _as_char(value) -> CharacterPolynomial:
     if isinstance(value, CharacterPolynomial):
         return value
-    return CharacterPolynomial.constant(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return CharacterPolynomial._from_normal({(): value} if value else {})
 
 
 def unit(m: int) -> TautExpr:
     return TautExpr(m, {DiagMonomial(m): CharacterPolynomial.one()})
-
-
-def diag(m: int, *blocks) -> TautExpr:
-    """Build q_{(I.)}[(c.)] with SurfaceClass decorations.
-
-    Each block is (slots, SurfaceClass or key string); general classes
-    are split multilinearly into basis keys.
-    """
-    out = TautExpr(m)
-    expansions = [[(CharacterPolynomial.one(), "1")]]
-    slot_sets = []
-    for slots, cls in blocks:
-        slot_sets.append(tuple(slots))
-        if isinstance(cls, str):
-            expansions.append([(CharacterPolynomial.one(), cls)])
-            continue
-        opts = []
-        for coeff, key in cls.basis_terms():
-            opts.append((_as_char(coeff), key))
-        expansions.append(opts)
-    del expansions[0]
-
-    def rec(idx, coeff, acc):
-        if idx == len(slot_sets):
-            out.add(DiagMonomial(m, acc), coeff)
-            return
-        for c, key in expansions[idx]:
-            rec(idx + 1, coeff * c, acc + [(slot_sets[idx], key)])
-
-    rec(0, CharacterPolynomial.one(), [])
-    return out
 
 
 def node_scroll(m, I, split, jblocks=(), kblocks=(), flavor="reducible"):
@@ -469,12 +434,12 @@ def mul_gamma_diag(mono: DiagMonomial, geo: SurfaceGeometry | None = None) -> Ta
             continue
         others = ([(bk[0], bk[1]) for k2, bk in enumerate(mono.blocks) if k2 != idx]
                   + [((s,), "1") for s in free])
-        weights = _beta_row(size)
         for flavor, _count in geo.node_flavors:
             reducible = flavor == "reducible"
             assignments = _distributions(others, reducible)
             for split_j in range(1, size):
-                w = weights[split_j - 1]
+                # the staircase weight beta(size, split_j), in closed form
+                w = size * split_j * (size - split_j) // 2
                 for jside, kside in assignments:
                     out.add(NodeClass(m, slots, split_j, jside, kside,
                                       flavor, 0), Fraction(w))
@@ -1026,13 +991,6 @@ def _expand(factors, m: int):
     return words, classes, seeds[0] if seeds else None
 
 
-def _codim(words, classes, seed) -> int:
-    """Codimension of an expanded word; every merged word shares it."""
-    codim = (seed.codim() or 0) if seed is not None else 0
-    codim += len(next(iter(words)))
-    return codim + sum(cls.pure_degree() for _kind, _slot, cls in classes)
-
-
 def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
     """Up pass: from the seed's level, or the lowest Gamma, up to level m.
 
@@ -1056,6 +1014,77 @@ def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
     return expr
 
 
+def _merge_words(words, m: int, integral: bool) -> dict:
+    """Expand every (coefficient, factors) word and merge the pieces.
+
+    Returns {(Gamma levels, classes, seed): coefficient} with the zero
+    coefficients dropped.  Each word is expanded and checked on its
+    own, in input order, with the checks of an integral or of a normal
+    form; the merge lives for one call only.
+    """
+    merged = {}
+    for coeff, factors in words:
+        expanded, classes, seed = _expand(factors, m)
+        if not expanded:
+            continue
+        # every merged word of one input word has the same codimension
+        first = next(iter(expanded))
+        codim = (seed.codim() or 0) if seed is not None else 0
+        codim += len(first) + sum(cls.pure_degree() for _k, _s, cls in classes)
+        if integral:
+            if 1 in first:
+                continue
+            if codim != m + 1:
+                raise DimensionError(
+                    f"word has codimension {codim}, integration needs {m + 1}")
+        else:
+            if codim > m + 1:
+                raise DimensionError("word exceeds the dimension of the level")
+            if 1 in first:
+                continue
+            if seed is not None and any(k < seed.m for levels in expanded
+                                        for k in levels):
+                raise UnsupportedProductError(
+                    "gamma factors below the seeded level need the integral pipeline")
+        # slot classes commute, so sorting lets reordered words share a key
+        classes = tuple(sorted(classes, key=lambda f: (f[1], f[2].render())))
+        for levels, c in expanded.items():
+            key = (levels, classes, seed)
+            merged[key] = merged.get(key, 0) + coeff * c
+    return {key: c for key, c in merged.items() if c}
+
+
+def _integrate_words(words, m: int, geo) -> CharacterPolynomial:
+    """Integral over W^m of a sum of (coefficient, factors) words.
+
+    Each distinct merged piece is evaluated once: up to level m, then
+    down, with the Gammas below a seed's level applied on the way down.
+    """
+    total = CharacterPolynomial.zero()
+    for (levels, classes, seed), coeff in _merge_words(words, m, True).items():
+        expr = _eval_up(levels, classes, seed, m, geo)
+        lower = [k for k in levels if seed is not None and k < seed.m]
+        value = _push_down(expr, lower, geo) if lower else integrate(expr, geo)
+        total = total + coeff * value
+    return total
+
+
+def _normal_words(words, m: int, geo) -> TautExpr:
+    """Normal form at level m of a sum of (coefficient, factors) words."""
+    out = TautExpr(m)
+    for (levels, classes, seed), coeff in _merge_words(words, m, False).items():
+        for gen, c in _eval_up(levels, classes, seed, m, geo).terms.items():
+            out.add(gen, c * coeff)
+    return out
+
+
+def _with_seed(factors, seed):
+    factors = list(factors)
+    if seed is not None:
+        factors.append(("seed", seed))
+    return [(CharacterPolynomial.one(), factors)]
+
+
 def expand_monomial(factors, m: int, geo: SurfaceGeometry | None = None,
                     seed: TautExpr | None = None) -> TautExpr:
     """Normal form of a product word at level m.
@@ -1065,25 +1094,8 @@ def expand_monomial(factors, m: int, geo: SurfaceGeometry | None = None,
     correction, ("class", slot, SurfaceClass).  An optional seed
     expression starts the pipeline at its own level.
     """
-    geo = geo or default_geometry()
-    factors = list(factors)
-    if seed is not None:
-        factors.append(("seed", seed))
-    words, classes, wseed = _expand(factors, m)
-    out = TautExpr(m)
-    if not words:
-        return out
-    if _codim(words, classes, seed) > m + 1:
-        raise DimensionError("word exceeds the dimension of the level")
-    if 1 in next(iter(words)):
-        return out
-    for levels, coeff in words.items():
-        if wseed is not None and any(k < wseed.m for k in levels):
-            raise UnsupportedProductError(
-                "gamma factors below the seeded level need the integral pipeline")
-        for gen, c in _eval_up(levels, classes, wseed, m, geo).terms.items():
-            out.add(gen, c * coeff)
-    return out
+    return _normal_words(_with_seed(factors, seed), m,
+                         geo or default_geometry())
 
 
 def integrate_word(factors, m: int, geo: SurfaceGeometry | None = None,
@@ -1094,24 +1106,8 @@ def integrate_word(factors, m: int, geo: SurfaceGeometry | None = None,
     seeded level, by pushing the evaluated top part down level by
     level (node scrolls are contracted along the way).
     """
-    geo = geo or default_geometry()
-    factors = list(factors)
-    if seed is not None:
-        factors.append(("seed", seed))
-    words, classes, seed = _expand(factors, m)
-    total = CharacterPolynomial.zero()
-    if not words or 1 in next(iter(words)):
-        return total
-    codim = _codim(words, classes, seed)
-    if codim != m + 1:
-        raise DimensionError(
-            f"word has codimension {codim}, integration needs {m + 1}")
-    for levels, coeff in words.items():
-        expr = _eval_up(levels, classes, seed, m, geo)
-        lower = [k for k in levels if seed is not None and k < seed.m]
-        value = _push_down(expr, lower, geo) if lower else integrate(expr, geo)
-        total = total + coeff * value
-    return total
+    return _integrate_words(_with_seed(factors, seed), m,
+                            geo or default_geometry())
 
 
 def chern_taut(m: int, geo: SurfaceGeometry | None = None,
@@ -1119,38 +1115,18 @@ def chern_taut(m: int, geo: SurfaceGeometry | None = None,
     """Graded pieces of prod_i (1 + L^(i) - Delta^(i))."""
     geo = geo or default_geometry()
     lcls = lsymbol or SurfaceClass.divisor("L")
-    pieces = [TautExpr(m) for _ in range(m + 2)]
-    pieces[0] = unit(m)
-
-    choices = []
+    # (degree, sign, factors) for every way to pick one summand per slot
+    picks = [(0, 1, ())]
     for i in range(1, m + 1):
-        opts = [(0, None), (1, ("class", i, lcls))]
+        opts = [(0, 1, ()), (1, 1, (("class", i, lcls),))]
         if i >= 2:
-            opts.append((1, ("delta-neg", i)))
-        choices.append(opts)
-
-    def rec(idx, degree, word):
-        if idx == len(choices):
-            if degree == 0:
-                return
-            if degree > m + 1:
-                return
-            sign = Fraction(1)
-            factors = []
-            for f in word:
-                if f[0] == "delta-neg":
-                    sign = -sign
-                    factors.append(("delta", f[1]))
-                else:
-                    factors.append(f)
-            piece = expand_monomial(factors, m, geo)
-            pieces[degree] = pieces[degree] + piece.scale(sign)
-            return
-        for d, f in choices[idx]:
-            rec(idx + 1, degree + d, word + ([f] if f else []))
-
-    rec(0, 0, [])
-    return pieces[:m + 2]
+            opts.append((1, -1, (("delta", i),)))
+        picks = [(d + d2, s * s2, f + f2) for d, s, f in picks
+                 for d2, s2, f2 in opts if d + d2 <= m + 1]
+    words = [[] for _ in range(m + 2)]
+    for degree, sign, factors in picks:
+        words[degree].append((sign, factors))
+    return [_normal_words(w, m, geo) for w in words]
 
 
 # -- rendering ----------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautcalc.charpoly import (
     CharacterPolynomial,
@@ -99,3 +101,50 @@ def test_hash_consistency():
     b = 1 + symbol("sigma")
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- the normal form survives every operation ---------------------------
+
+SYMS = ("sigma", "omega2", "omegaL", "L2", "dL")
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+polys = st.dictionaries(
+    st.lists(st.sampled_from(SYMS), max_size=3).map(tuple),
+    rationals | st.integers(-4, 4), max_size=4,
+).map(CharacterPolynomial)
+operands = polys | st.integers(-3, 3) | rationals
+
+
+def assert_normal(p: CharacterPolynomial):
+    terms = p.terms()
+    assert terms == CharacterPolynomial(terms).terms()
+    for mono, coeff in terms.items():
+        assert type(mono) is tuple and mono == tuple(sorted(mono))
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(p.coefficient(mono[::-1])) is Fraction
+    assert type(p.coefficient(("sigma",) * 5)) is Fraction
+    if p.is_constant():
+        assert type(p.constant_value()) is Fraction
+
+
+def value_at(p, point):
+    if not isinstance(p, CharacterPolynomial):
+        return Fraction(p)
+    return p.evaluate(point).constant_value()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(polys, operands, st.integers(0, 3),
+       st.lists(rationals, min_size=len(SYMS), max_size=len(SYMS)))
+def test_operations_keep_the_normal_form(a, b, n, values):
+    point = dict(zip(SYMS, values))
+    va, vb = value_at(a, point), value_at(b, point)
+    results = [
+        (a + b, va + vb), (b + a, va + vb),
+        (a - b, va - vb), (b - a, vb - va),
+        (a * b, va * vb), (b * a, va * vb),
+        (-a, -va), (a ** n, va ** n),
+    ]
+    for got, want in results:
+        assert isinstance(got, CharacterPolynomial)
+        assert_normal(got)
+        assert value_at(got, point) == want

@@ -242,6 +242,14 @@ class TestCliCharsFile:
         code, out, _ = run_cli(["nsec3", "--chars", cfg])
         assert (code, out) == (0, "42\nN3 = 7\n")
 
+    def test_nsec3_fractional_count(self, tmp_path):
+        # 3!N3 = 61 is not divisible by 6: N3 prints as an exact fraction
+        cfg = tmp_path / "chars.cfg"
+        cfg.write_text("sigma = 0\nomega2 = 1\nomegaL = 1\nL2 = 2\n"
+                       "dL = 3\ng2 = 1\n")
+        code, out, _ = run_cli(["nsec3", "--chars", str(cfg)])
+        assert (code, out) == (0, "61\nN3 = 61/6\n")
+
     def test_bad_key_rejected(self, tmp_path):
         cfg = tmp_path / "chars.cfg"
         cfg.write_text("bogus = 1\n")
@@ -286,6 +294,11 @@ class TestCliExitCodes:
         code, out, err = run_cli(["integrate", "-m", level, "L(1)"])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: level {level} below 1")
+
+    def test_cancelling_sum_integrates_to_zero(self):
+        code, out, err = run_cli(["integrate", "-m", "4",
+                                  "Delta<4>^5 - Delta<4>^5"])
+        assert (code, out, err) == (0, "0\n", "")
 
     def test_unpaired_divisors_exit_cleanly(self):
         code, out, err = run_cli(["integrate", "-m", "2",

@@ -8,6 +8,8 @@ from math import factorial
 import pytest
 
 from tautcalc.charpoly import CharacterPolynomial as CP, symbol
+from tautcalc.exprparse import evaluate_integral, evaluate_normal, parse, to_words
+from tautcalc.schubert import NSEC3_TUPLES
 from tautcalc.staircase import beta
 from tautcalc.surface import FIBRE, LCLASS, OMEGA, POINT, default_geometry
 from tautcalc.tautring import (
@@ -393,6 +395,61 @@ class TestSingleExpansion:
         assert integrate_word([D(1), D(4)], 3) == CP.zero()
         with pytest.raises(ValueError):
             integrate_word([D(4), D(1)], 3)
+
+
+def seeded_sums(m, count, degree, seed):
+    """Sums of two to four scaled words, repeats and sign flips included."""
+    rng = random.Random(seed)
+    atoms = ([f"Delta<{k}>" for k in range(2, m + 1)] + [f"Gamma<{m}>"]
+             + [f"L({i})" for i in range(1, m + 1)] + [f"omega({m})"])
+    coeffs = ["", "2*", "1/3*", "sigma*", "(dL - 1)*"]
+    out = []
+    for _ in range(count):
+        words = ["*".join(rng.choice(atoms) for _ in range(degree))
+                 for _ in range(rng.randint(1, 3))]
+        words.append(rng.choice(words))
+        terms = [rng.choice(coeffs) + w for w in words]
+        out.append(" - ".join(terms) if rng.random() < 0.3 else " + ".join(terms))
+    return out
+
+
+class TestMergedEvaluation:
+    """An expression's words are merged before evaluation; the value is
+    the sum of the words evaluated one by one."""
+
+    CASES = ([(f"L(1)^{j1}*(L(2)-Delta<2>)^{j2}*(L(3)-Delta<3>)^{j3}", 3)
+              for j1, j2, j3 in NSEC3_TUPLES]
+             + [(t, 2) for t in seeded_sums(2, 15, 3, 11)]
+             + [(t, 3) for t in seeded_sums(3, 15, 4, 12)])
+
+    @pytest.mark.parametrize("text,m", CASES)
+    def test_integral_is_the_sum_over_words(self, text, m):
+        want = CP.zero()
+        for coeff, word in to_words(parse(text, m), m):
+            want = want + coeff * integrate_word(list(word), m)
+        assert evaluate_integral(text, m) == want
+
+    @pytest.mark.parametrize("text,m", [(t, 2) for t in seeded_sums(2, 10, 2, 13)]
+                             + [(t, 3) for t in seeded_sums(3, 10, 3, 14)]
+                             + [("sigma + 2*Delta<2> - L(1)", 2)])
+    def test_normal_form_is_the_sum_over_words(self, text, m):
+        want = TautExpr(m)
+        for coeff, word in to_words(parse(text, m), m):
+            want = want + expand_monomial(list(word), m).scale(coeff)
+        assert evaluate_normal(text, m) == want
+
+    def test_one_over_codimension_word_raises(self):
+        with pytest.raises(DimensionError):
+            evaluate_integral("Delta<3>^4 + L(1)*Delta<3>^4", 3)
+        with pytest.raises(DimensionError):
+            evaluate_normal("Delta<3>^2 + Gamma<3>^5", 3)
+
+    def test_cancelling_sum_is_zero(self):
+        # the words are merged before evaluation, so Delta<4>^5, which
+        # the engine cannot evaluate yet, is never reached
+        assert evaluate_integral("Delta<4>^5 - Delta<4>^5", 4) == CP.zero()
+        assert evaluate_integral("2*Delta<3>^4 - Delta<3>^4*2", 3) == CP.zero()
+        assert evaluate_normal("Delta<3>^2 - Delta<3>^2", 3).is_zero()
 
 
 class TestNodeSeeds:
