@@ -78,6 +78,13 @@ def _load_assignment(path: str | None) -> dict:
         raise _UsageError(str(exc))
 
 
+def _at_least(level: int, lowest: int) -> int:
+    """Refuse a level below the lowest one a command has anything for."""
+    if level < lowest:
+        raise _UsageError(f"level {level} below {lowest}")
+    return level
+
+
 def _finish(poly: CharacterPolynomial, assignment: dict) -> CharacterPolynomial:
     return poly.evaluate(assignment) if assignment else poly
 
@@ -140,7 +147,8 @@ def cmd_colength(args) -> int:
 
 
 def cmd_vdm_check(args) -> int:
-    top = args.level or 5
+    # the chain and syzygy identities start at level 2
+    top = 5 if args.level is None else _at_least(args.level, 2)
     for m in range(2, top + 1):
         for i in range(1, m):
             sign = check_chain(m, i)
@@ -158,7 +166,7 @@ def cmd_vdm_check(args) -> int:
 
 
 def cmd_ord_table(args) -> int:
-    m = args.level or 4
+    m = 4 if args.level is None else _at_least(args.level, 1)
     table = ord_table(m, seed=args.seed)
     for j in range(1, m + 1):
         row = " ".join(str(table[(j, size)]) for size in range(m + 1))
@@ -207,7 +215,11 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_chern(args) -> int:
-    pieces = chern_taut(args.level)
+    m = _at_least(args.level, 1)
+    if m > 9:
+        raise _UsageError(
+            f"level {m} above 9: slot digits are read one at a time")
+    pieces = chern_taut(m)
     _emit(args, [(f"c_{d}", render_expr(p)) for d, p in enumerate(pieces)])
     return 0
 
@@ -321,16 +333,15 @@ def _battery():
         for k in range(1, 5)),
         "printed quadratic is twice the computed order")
 
-    # eta exponents
-    ok = all(eta_valuation(m, i, j) == derived_eta_exponent(m, i, j)
-             for m in (2, 3, 4)
-             for i in range(1, m + 1) for j in range(1, m + 1)
-             if abs(i - j) <= 1)
+    # eta exponents; both checks read one table of valuations
+    etas = {(m, i, j): eta_valuation(m, i, j) for m in (2, 3, 4)
+            for i in range(1, m + 1) for j in range(1, m + 1)}
+    ok = all(value == derived_eta_exponent(m, i, j)
+             for (m, i, j), value in etas.items() if abs(i - j) <= 1)
     record("eta-exponent-near", ok,
            "quadratic exponent exact whenever |i-j| <= 1, m<=4")
-    extremes = [(m, i, j) for m in (2, 3, 4)
-                for i in range(1, m + 1) for j in range(1, m + 1)
-                if eta_valuation(m, i, j) != derived_eta_exponent(m, i, j)]
+    extremes = [(m, i, j) for (m, i, j), value in etas.items()
+                if value != derived_eta_exponent(m, i, j)]
     note("eta-exponent-far", all(abs(i - j) >= 2 for _, i, j in extremes)
          and len(extremes) == 8,
          "eight pairs with |i-j| >= 2 exceed the quadratic; printed"

@@ -344,24 +344,3 @@ def derived_eta_exponent(m: int, i: int, j: int) -> int:
 
 def printed_eta_exponent(m: int, i: int, j: int) -> int:
     return (i - 1) * (m - i) + (j - 1) * (m - j)
-
-
-def diagonal_vanish(m: int, i: int) -> bool:
-    """G_i dies when slots 1 and 2 collide."""
-    if m < 2:
-        raise ValueError("need at least two slots")
-    g = vdm_det(m, i)
-    folded: dict[tuple, Coeff] = {}
-    for mono, coeff in g.terms.items():
-        merged = list(mono)
-        merged[0] += merged[1]
-        merged[1] = 0
-        merged[m] += merged[m + 1]
-        merged[m + 1] = 0
-        key = tuple(merged)
-        s = folded.get(key, Fraction(0)) + coeff
-        if s:
-            folded[key] = s
-        else:
-            folded.pop(key, None)
-    return QuotPoly(m, folded).is_zero()

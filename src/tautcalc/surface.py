@@ -252,11 +252,6 @@ def fibre_degree(c: SurfaceClass, geo: SurfaceGeometry | None = None) -> Charact
     return total
 
 
-def integrate_on_X(c: SurfaceClass, geo: SurfaceGeometry | None = None) -> CharacterPolynomial:
-    """Integral over the surface: reads off the point part."""
-    return c.deg2
-
-
 def parse_character_config(text: str) -> dict[str, Rational]:
     """Parse `key = value` assignments for the six standard characters.
 

@@ -14,6 +14,14 @@ Coefficients live in the character ring (see charpoly).  Every rewrite
 is grading-checked: multiplying by Gamma adds one to the codimension,
 multiplying by a degree-d surface class adds d.
 
+Generators are validated once: the public constructors
+`DiagMonomial(...)` and `NodeClass(...)` check their input, while the
+rewrite rules build their output with `_new`, which restores the
+canonical order and checks the side degrees (a rewrite can break
+those) but skips the range, duplicate, split and coverage checks that
+rewrites keep by construction.  Codimension and hash are computed once,
+when a generator is built.
+
 The Gamma.NS rewrite uses the self-intersection relation on a scroll.
 Its Chern coefficients distinguish the top slot m of the level from the
 other slots (the tower is built by adjoining one slot at a time, and
@@ -97,6 +105,10 @@ def _render_blocks(blocks) -> str:
     return "q[%s](%s)" % (",".join(slot_parts), ", ".join(class_parts))
 
 
+def _least_slot(block):
+    return block[0][0]
+
+
 class DiagMonomial:
     """Partial-diagonal monomial q_{(I.)}[(c.)].
 
@@ -106,7 +118,7 @@ class DiagMonomial:
     normalization, so the empty tuple is the fundamental class.
     """
 
-    __slots__ = ("m", "blocks")
+    __slots__ = ("m", "blocks", "_codim", "_hash")
 
     def __init__(self, m: int, blocks=()):
         cleaned = []
@@ -124,12 +136,30 @@ class DiagMonomial:
             if len(slots) == 1 and key == "1":
                 continue
             cleaned.append((slots, key))
-        cleaned.sort(key=lambda bk: bk[0][0])
+        self._fill(m, cleaned)
+
+    @classmethod
+    def _new(cls, m: int, blocks) -> "DiagMonomial":
+        """Rewrite output: blocks of sorted slots, disjoint and in range.
+
+        The rewrite rules keep these by construction, so only the
+        canonical form is restored: unit singletons go, blocks are
+        ordered by least slot.
+        """
+        mono = object.__new__(cls)
+        mono._fill(m, [b for b in blocks if b[1] != "1" or len(b[0]) > 1])
+        return mono
+
+    def _fill(self, m: int, blocks: list):
+        blocks.sort(key=_least_slot)
+        blocks = tuple(blocks)
         self.m = m
-        self.blocks = tuple(cleaned)
+        self.blocks = blocks
+        self._codim = sum(len(s) - 1 + _key_degree(k) for s, k in blocks)
+        self._hash = hash(("diag", m, blocks))
 
     def codim(self) -> int:
-        return sum(len(s) - 1 + _key_degree(k) for s, k in self.blocks)
+        return self._codim
 
     def block_of(self, slot: int):
         for idx, (slots, _) in enumerate(self.blocks):
@@ -137,17 +167,18 @@ class DiagMonomial:
                 return idx
         return None
 
-    def replace(self, idx: int, slots, key) -> "DiagMonomial":
+    def _with_key(self, idx: int, key: str) -> "DiagMonomial":
+        """Rewrite output: block idx decorated by key instead."""
         blocks = list(self.blocks)
-        blocks[idx] = (tuple(slots), key)
-        return DiagMonomial(self.m, blocks)
+        blocks[idx] = (blocks[idx][0], key)
+        return DiagMonomial._new(self.m, blocks)
 
     def __eq__(self, other):
         return (isinstance(other, DiagMonomial)
                 and self.m == other.m and self.blocks == other.blocks)
 
     def __hash__(self):
-        return hash(("diag", self.m, self.blocks))
+        return self._hash
 
     def render(self) -> str:
         if not self.blocks:
@@ -156,6 +187,15 @@ class DiagMonomial:
 
     def __repr__(self):
         return f"DiagMonomial(m={self.m}, {self.render()})"
+
+
+def _side(blocks) -> tuple:
+    # side blocks carry keys of degree <= 1; rewrites can break this
+    # (a point spread onto a node side), so it is checked on every build
+    for _slots, key in blocks:
+        if _key_degree(key) > 1:
+            raise ValueError(f"side block key {key!r} has degree > 1")
+    return tuple(sorted(blocks, key=_least_slot))
 
 
 class NodeClass:
@@ -169,7 +209,7 @@ class NodeClass:
     """
 
     __slots__ = ("m", "I", "split", "jblocks", "kblocks", "flavor",
-                 "gamma_power")
+                 "gamma_power", "_key", "_codim", "_hash")
 
     def __init__(self, m, I, split, jblocks=(), kblocks=(),
                  flavor="reducible", gamma_power=0):
@@ -180,50 +220,60 @@ class NodeClass:
             raise ValueError("irreducible profiles keep all side blocks in J")
         if gamma_power not in (0, 1):
             raise ValueError("gamma_power is 0 or 1")
-
-        def clean(side):
-            out = []
-            for slots, key in side:
-                slots = tuple(sorted(slots))
-                if _key_degree(key) > 1:
-                    raise ValueError(f"side block key {key!r} has degree > 1")
-                out.append((slots, key))
-            out.sort(key=lambda bk: bk[0][0])
-            return tuple(out)
-
-        self.m = m
-        self.I = I
-        self.split = split
-        self.jblocks = clean(jblocks)
-        self.kblocks = clean(kblocks)
-        self.flavor = flavor
-        self.gamma_power = gamma_power
+        jblocks = _side([(tuple(sorted(slots)), key) for slots, key in jblocks])
+        kblocks = _side([(tuple(sorted(slots)), key) for slots, key in kblocks])
         covered = set(I)
-        for slots, _ in self.jblocks + self.kblocks:
+        for slots, _ in jblocks + kblocks:
             for s in slots:
                 if s in covered:
                     raise ValueError(f"slot {s} used twice in node profile")
                 covered.add(s)
         if covered != set(range(1, m + 1)):
             raise ValueError("node profile must cover every slot")
+        self._fill(m, I, split, jblocks, kblocks, flavor, gamma_power)
+
+    @classmethod
+    def _new(cls, m, I, split, jblocks, kblocks, flavor,
+             gamma_power) -> "NodeClass":
+        """Rewrite output: a valid split and a disjoint, covering profile.
+
+        The rewrite rules keep these by construction, so only the
+        canonical form is restored (I sorted, side blocks of sorted
+        slots ordered by least slot) and the side degrees checked.
+        """
+        node = object.__new__(cls)
+        node._fill(m, tuple(sorted(I)), split, _side(jblocks), _side(kblocks),
+                   flavor, gamma_power)
+        return node
+
+    def _fill(self, m, I, split, jblocks, kblocks, flavor, gamma_power):
+        self.m = m
+        self.I = I
+        self.split = split
+        self.jblocks = jblocks
+        self.kblocks = kblocks
+        self.flavor = flavor
+        self.gamma_power = gamma_power
+        degs = sum(_key_degree(k) for _, k in jblocks + kblocks)
+        dim = len(jblocks) + len(kblocks) + 1 - gamma_power - degs
+        self._codim = m + 1 - dim
+        self._key = (m, I, split, jblocks, kblocks, flavor, gamma_power)
+        self._hash = hash(("node",) + self._key)
 
     def dim(self) -> int:
-        degs = sum(_key_degree(k) for _, k in self.jblocks + self.kblocks)
-        return (len(self.jblocks) + len(self.kblocks) + 1
-                - self.gamma_power - degs)
+        return self.m + 1 - self._codim
 
     def codim(self) -> int:
-        return self.m + 1 - self.dim()
+        return self._codim
 
     def key(self):
-        return (self.m, self.I, self.split, self.jblocks, self.kblocks,
-                self.flavor, self.gamma_power)
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, NodeClass) and self.key() == other.key()
+        return isinstance(other, NodeClass) and self._key == other._key
 
     def __hash__(self):
-        return hash(("node",) + self.key())
+        return self._hash
 
     def render(self) -> str:
         name = "NS" if self.gamma_power else "F"
@@ -280,7 +330,7 @@ class TautExpr:
             return
         if gen.m != self.m:
             raise ValueError("level mismatch")
-        if gen.codim() > self.m + 1:
+        if gen._codim > self.m + 1:
             return
         cur = self.terms.get(gen)
         if cur is not None:
@@ -365,15 +415,15 @@ def _merge_pair(mono: DiagMonomial, i: int, j: int, geo) -> tuple:
     blocks = list(mono.blocks)
     if bi is None and bj is None:
         blocks.append(((i, j), "1"))
-        return CharacterPolynomial.one(), DiagMonomial(mono.m, blocks)
+        return CharacterPolynomial.one(), DiagMonomial._new(mono.m, blocks)
     if bi is not None and bj is None:
         slots, key = blocks[bi]
         blocks[bi] = (tuple(sorted(slots + (j,))), key)
-        return CharacterPolynomial.one(), DiagMonomial(mono.m, blocks)
+        return CharacterPolynomial.one(), DiagMonomial._new(mono.m, blocks)
     if bi is None:
         slots, key = blocks[bj]
         blocks[bj] = (tuple(sorted(slots + (i,))), key)
-        return CharacterPolynomial.one(), DiagMonomial(mono.m, blocks)
+        return CharacterPolynomial.one(), DiagMonomial._new(mono.m, blocks)
     if bi == bj:
         raise ValueError("pair already inside one block")
     si, ki = blocks[bi]
@@ -384,7 +434,7 @@ def _merge_pair(mono: DiagMonomial, i: int, j: int, geo) -> tuple:
     coeff, key = merged
     blocks = [b for idx, b in enumerate(blocks) if idx not in (bi, bj)]
     blocks.append((tuple(sorted(si + sj)), key))
-    return coeff, DiagMonomial(mono.m, blocks)
+    return coeff, DiagMonomial._new(mono.m, blocks)
 
 
 def _free_slots(mono: DiagMonomial):
@@ -428,7 +478,7 @@ def mul_gamma_diag(mono: DiagMonomial, geo: SurfaceGeometry | None = None) -> Ta
         repaired = _merge_keys(key, "omega", geo)
         if repaired is not None:
             coeff, new_key = repaired
-            out.add(mono.replace(idx, slots, new_key),
+            out.add(mono._with_key(idx, new_key),
                     coeff * Fraction(-comb(size, 2)))
         if key != "1":
             continue
@@ -441,8 +491,8 @@ def mul_gamma_diag(mono: DiagMonomial, geo: SurfaceGeometry | None = None) -> Ta
                 # the staircase weight beta(size, split_j), in closed form
                 w = size * split_j * (size - split_j) // 2
                 for jside, kside in assignments:
-                    out.add(NodeClass(m, slots, split_j, jside, kside,
-                                      flavor, 0), Fraction(w))
+                    out.add(NodeClass._new(m, slots, split_j, jside, kside,
+                                           flavor, 0), Fraction(w))
     return out
 
 
@@ -475,15 +525,20 @@ def mul_class(gen, slot: int, cls: SurfaceClass,
         if isinstance(gen, DiagMonomial):
             idx = gen.block_of(slot)
             if idx is None:
-                blocks = gen.blocks + (((slot,), key),)
-                out.add(DiagMonomial(gen.m, blocks), coeff)
+                # the slot comes from the caller: check it like the
+                # public constructor would
+                if not 1 <= slot <= gen.m:
+                    raise ValueError(f"slot {slot} outside level {gen.m}")
+                blocks = list(gen.blocks)
+                blocks.append(((slot,), key))
+                out.add(DiagMonomial._new(gen.m, blocks), coeff)
                 continue
-            slots, cur = gen.blocks[idx]
+            cur = gen.blocks[idx][1]
             merged = _merge_keys(cur, key, geo)
             if merged is None:
                 continue
             extra, new_key = merged
-            out.add(gen.replace(idx, slots, new_key), coeff * extra)
+            out.add(gen._with_key(idx, new_key), coeff * extra)
             continue
         # node generator: positive-degree classes die on the node slots
         if slot in gen.I:
@@ -503,9 +558,9 @@ def mul_class(gen, slot: int, cls: SurfaceClass,
                 new_side[t] = (slots, key)
                 kwargs = {"jblocks": gen.jblocks, "kblocks": gen.kblocks}
                 kwargs[side_name] = tuple(new_side)
-                out.add(NodeClass(gen.m, gen.I, gen.split,
-                                  kwargs["jblocks"], kwargs["kblocks"],
-                                  gen.flavor, gen.gamma_power), coeff)
+                out.add(NodeClass._new(gen.m, gen.I, gen.split,
+                                       kwargs["jblocks"], kwargs["kblocks"],
+                                       gen.flavor, gen.gamma_power), coeff)
                 break
             if hit:
                 break
@@ -546,9 +601,9 @@ def _move_block(node: NodeClass, side_name: str, idx: int,
     kwargs = {"jblocks": node.jblocks, "kblocks": node.kblocks}
     kwargs[side_name] = new_side
     split = node.split + (len(slots) if target_side == "J" else 0)
-    return NodeClass(node.m, node.I + slots, split,
-                     kwargs["jblocks"], kwargs["kblocks"],
-                     node.flavor, node.gamma_power)
+    return NodeClass._new(node.m, node.I + slots, split,
+                          kwargs["jblocks"], kwargs["kblocks"],
+                          node.flavor, node.gamma_power)
 
 
 def _merge_side_blocks(node: NodeClass, side_name: str, ia: int, ib: int,
@@ -569,9 +624,9 @@ def _merge_side_blocks(node: NodeClass, side_name: str, ia: int, ib: int,
     new_side.append((tuple(sorted(sa + sb)), key))
     kwargs = {"jblocks": node.jblocks, "kblocks": node.kblocks}
     kwargs[side_name] = tuple(new_side)
-    return NodeClass(node.m, node.I, node.split,
-                     kwargs["jblocks"], kwargs["kblocks"],
-                     node.flavor, node.gamma_power)
+    return NodeClass._new(node.m, node.I, node.split,
+                          kwargs["jblocks"], kwargs["kblocks"],
+                          node.flavor, node.gamma_power)
 
 
 def _insert_omega(node: NodeClass, side_name: str, idx: int):
@@ -583,9 +638,9 @@ def _insert_omega(node: NodeClass, side_name: str, idx: int):
     new_side[idx] = (slots, "omega")
     kwargs = {"jblocks": node.jblocks, "kblocks": node.kblocks}
     kwargs[side_name] = tuple(new_side)
-    return NodeClass(node.m, node.I, node.split,
-                     kwargs["jblocks"], kwargs["kblocks"],
-                     node.flavor, node.gamma_power)
+    return NodeClass._new(node.m, node.I, node.split,
+                          kwargs["jblocks"], kwargs["kblocks"],
+                          node.flavor, node.gamma_power)
 
 
 def _c1_terms(node: NodeClass):
@@ -765,8 +820,8 @@ def mul_gamma_node(node: NodeClass, geo: SurfaceGeometry | None = None) -> TautE
     geo = geo or default_geometry()
     out = TautExpr(node.m)
     if node.gamma_power == 0:
-        section = NodeClass(node.m, node.I, node.split, node.jblocks,
-                            node.kblocks, node.flavor, 1)
+        section = NodeClass._new(node.m, node.I, node.split, node.jblocks,
+                                 node.kblocks, node.flavor, 1)
         out.add(section, Fraction(-1))
         return out
     # Gamma^2 . F = Gamma.(c1 F-classes) + c2 F-classes; the first
@@ -776,8 +831,8 @@ def mul_gamma_node(node: NodeClass, geo: SurfaceGeometry | None = None) -> TautE
         if moved is None:
             continue
         out.add(moved, Fraction(-coeff))
-    scroll = NodeClass(node.m, node.I, node.split, node.jblocks,
-                       node.kblocks, node.flavor, 0)
+    scroll = NodeClass._new(node.m, node.I, node.split, node.jblocks,
+                            node.kblocks, node.flavor, 0)
     for t1 in _chern_factor(scroll, "first"):
         for t2 in _chern_factor(scroll, "second"):
             resolved = _resolve_c2(scroll, t1, t2, geo)
@@ -811,7 +866,7 @@ def pullback(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
     out = TautExpr(m)
     for gen, coeff in expr.terms.items():
         if isinstance(gen, DiagMonomial):
-            out.add(DiagMonomial(m, gen.blocks), coeff)
+            out.add(DiagMonomial._new(m, list(gen.blocks)), coeff)
             continue
         r = len(gen.I)
         split = gen.split
@@ -822,21 +877,21 @@ def pullback(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
             for side_name, _tag in completions:
                 kwargs = {"jblocks": gen.jblocks, "kblocks": gen.kblocks}
                 kwargs[side_name] = kwargs[side_name] + (((m,), "1"),)
-                out.add(NodeClass(m, gen.I, split, kwargs["jblocks"],
-                                  kwargs["kblocks"], gen.flavor, 0), coeff)
+                out.add(NodeClass._new(m, gen.I, split, kwargs["jblocks"],
+                                       kwargs["kblocks"], gen.flavor, 0), coeff)
             continue
         # sections: each completion plus its polarization corrections
         for side_name, tag in completions:
             kwargs = {"jblocks": gen.jblocks, "kblocks": gen.kblocks}
             kwargs[side_name] = kwargs[side_name] + (((m,), "1"),)
-            out.add(NodeClass(m, gen.I, split, kwargs["jblocks"],
-                              kwargs["kblocks"], gen.flavor, 1), coeff)
+            out.add(NodeClass._new(m, gen.I, split, kwargs["jblocks"],
+                                   kwargs["kblocks"], gen.flavor, 1), coeff)
         # the new point can also run into the node along either branch
         branch_pins = [(split + 1, Fraction(split + 1)),
                        (split, Fraction(r - split + 1))]
         for new_split, weight in branch_pins:
-            out.add(NodeClass(m, gen.I + (m,), new_split, gen.jblocks,
-                              gen.kblocks, gen.flavor, 0), coeff * weight)
+            out.add(NodeClass._new(m, gen.I + (m,), new_split, gen.jblocks,
+                                   gen.kblocks, gen.flavor, 0), coeff * weight)
         for side_name in ("jblocks", "kblocks"):
             side = getattr(gen, side_name)
             for idx, (slots, key) in enumerate(side):
@@ -844,8 +899,8 @@ def pullback(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
                 new_side[idx] = (tuple(sorted(slots + (m,))), key)
                 kwargs = {"jblocks": gen.jblocks, "kblocks": gen.kblocks}
                 kwargs[side_name] = tuple(new_side)
-                out.add(NodeClass(m, gen.I, split, kwargs["jblocks"],
-                                  kwargs["kblocks"], gen.flavor, 0), coeff)
+                out.add(NodeClass._new(m, gen.I, split, kwargs["jblocks"],
+                                       kwargs["kblocks"], gen.flavor, 0), coeff)
     return out
 
 
@@ -867,12 +922,12 @@ def pushforward(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
             continue
         slots, key = gen.blocks[idx]
         if len(slots) > 1:
-            rest = gen.replace(idx, tuple(s for s in slots if s != m), key)
-            out.add(DiagMonomial(m - 1, rest.blocks), coeff)
+            blocks = list(gen.blocks)
+            blocks[idx] = (slots[:-1], key)  # m is the largest slot
+            out.add(DiagMonomial._new(m - 1, blocks), coeff)
             continue
-        rest = DiagMonomial(m - 1,
-                            tuple(b for t, b in enumerate(gen.blocks)
-                                  if t != idx))
+        rest = DiagMonomial._new(m - 1, [b for t, b in enumerate(gen.blocks)
+                                         if t != idx])
         if key == "pt":
             for g2, c2 in mul_class(rest, 1, FIBRE, geo).terms.items():
                 out.add(g2, coeff * c2)
@@ -950,34 +1005,28 @@ def _expand(factors, m: int):
 
     Returns ({sorted Gamma levels: Fraction}, classes, seed).  The
     factors commute, so words with the same levels merge and words
-    that cancel are dropped; a Delta^(1) factor kills the whole word.
-    The small diagonal is (1/(m-1)!) prod_{k=2..m} Delta^(k).
+    that cancel are dropped.  The word has passed `_word_codim`: no
+    Delta^(1) factor, Delta indices in range, at most one seed.  The
+    small diagonal is (1/(m-1)!) prod_{k=2..m} Delta^(k).
     """
     words = {(): Fraction(1)}
     classes = []
-    seeds = []
+    seed = None
     for factor in factors:
         kind = factor[0]
+        if kind == "class":
+            classes.append(factor)
+            continue
+        if kind == "seed":
+            seed = factor[1]
+            continue
         if kind == "gamma":
             steps = [{factor[1]: 1}]
         elif kind == "delta":
-            k = factor[1]
-            if k < 1 or k > m:
-                raise ValueError(f"diagonal index {k} outside level {m}")
-            if k == 1:
-                return {}, [], None
-            steps = [_delta(k)]
-        elif kind == "smalldiag":
+            steps = [_delta(factor[1])]
+        else:
             words = {w: c / factorial(m - 1) for w, c in words.items()}
             steps = [_delta(k) for k in range(2, m + 1)]
-        elif kind == "class":
-            classes.append(factor)
-            continue
-        elif kind == "seed":
-            seeds.append(factor[1])
-            continue
-        else:
-            raise ValueError(f"unknown factor {factor!r}")
         for step in steps:
             merged = {}
             for word, c in words.items():
@@ -985,10 +1034,7 @@ def _expand(factors, m: int):
                     key = tuple(sorted(word + (k,)))
                     merged[key] = merged.get(key, 0) + c * a
             words = {w: c for w, c in merged.items() if c}
-    if len(seeds) > 1:
-        raise UnsupportedProductError(
-            "products of two seeded classes are not supported")
-    return words, classes, seeds[0] if seeds else None
+    return words, classes, seed
 
 
 def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
@@ -1014,25 +1060,59 @@ def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
     return expr
 
 
+def _word_codim(factors, m: int):
+    """Codimension of a product word, read off its factors unexpanded.
+
+    Returns None when a Delta^(1) factor kills the word.  Factors are
+    read in order up to that one, so a Delta index outside the level or
+    an unknown factor before it is still an error; two seeds are refused.
+    """
+    gammas = 0
+    classes = []
+    seeds = []
+    for factor in factors:
+        kind = factor[0]
+        if kind == "gamma":
+            gammas += 1
+        elif kind == "delta":
+            k = factor[1]
+            if k < 1 or k > m:
+                raise ValueError(f"diagonal index {k} outside level {m}")
+            if k == 1:
+                return None
+            gammas += 1
+        elif kind == "smalldiag":
+            gammas += m - 1
+        elif kind == "class":
+            classes.append(factor[2])
+        elif kind == "seed":
+            seeds.append(factor[1])
+        else:
+            raise ValueError(f"unknown factor {factor!r}")
+    if len(seeds) > 1:
+        raise UnsupportedProductError(
+            "products of two seeded classes are not supported")
+    codim = (seeds[0].codim() or 0) if seeds else 0
+    return codim + gammas + sum(cls.pure_degree() for cls in classes)
+
+
 def _merge_words(words, m: int, integral: bool) -> dict:
     """Expand every (coefficient, factors) word and merge the pieces.
 
     Returns {(Gamma levels, classes, seed): coefficient} with the zero
-    coefficients dropped.  Each word is expanded and checked on its
-    own, in input order, with the checks of an integral or of a normal
-    form; the merge lives for one call only.
+    coefficients dropped.  Each word is checked on its own, in input
+    order, with the checks of an integral or of a normal form; its
+    codimension is checked before it is expanded, so a huge power is
+    refused at once.  The merge lives for one call only.
     """
     merged = {}
     for coeff, factors in words:
-        expanded, classes, seed = _expand(factors, m)
-        if not expanded:
-            continue
-        # every merged word of one input word has the same codimension
-        first = next(iter(expanded))
-        codim = (seed.codim() or 0) if seed is not None else 0
-        codim += len(first) + sum(cls.pure_degree() for _k, _s, cls in classes)
+        codim = _word_codim(factors, m)
+        if codim is None:
+            continue  # Delta^(1) vanishes
+        vanishes = ("gamma", 1) in factors  # so does Gamma^[1]
         if integral:
-            if 1 in first:
+            if vanishes:
                 continue
             if codim != m + 1:
                 raise DimensionError(
@@ -1040,12 +1120,13 @@ def _merge_words(words, m: int, integral: bool) -> dict:
         else:
             if codim > m + 1:
                 raise DimensionError("word exceeds the dimension of the level")
-            if 1 in first:
+            if vanishes:
                 continue
-            if seed is not None and any(k < seed.m for levels in expanded
-                                        for k in levels):
-                raise UnsupportedProductError(
-                    "gamma factors below the seeded level need the integral pipeline")
+        expanded, classes, seed = _expand(factors, m)
+        if not integral and seed is not None and any(
+                k < seed.m for levels in expanded for k in levels):
+            raise UnsupportedProductError(
+                "gamma factors below the seeded level need the integral pipeline")
         # slot classes commute, so sorting lets reordered words share a key
         classes = tuple(sorted(classes, key=lambda f: (f[1], f[2].render())))
         for levels, c in expanded.items():

@@ -1,0 +1,137 @@
+"""Golden renders: the engine's output on a fixed word set, line by line.
+
+`tests/data/golden_renders.txt` holds, for every case below, the
+rendered integral or normal form, or the exception type and message.
+It pins the rewrite core byte for byte: a change that is meant to keep
+every output must leave each line as it is.  Regenerate the file with
+`PYTHONPATH=src python tests/test_golden.py --write` only when a change
+is meant to move outputs, and say which lines moved and why.
+
+The set is every top-degree word and every degree-2 normal form at
+levels 2 and 3 over `Delta<k>`, `L`, `omega` and `f`, plus five
+level-4 words in `Delta<4>`.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from itertools import combinations_with_replacement
+from pathlib import Path
+
+from tautcalc import tautring
+from tautcalc.exprparse import evaluate_integral, evaluate_normal
+from tautcalc.surface import SurfaceGeometry
+
+DATA = Path(__file__).parent / "data" / "golden_renders.txt"
+
+LEVEL4 = ("Delta<4>^5", "Delta<2>*Delta<4>^4", "Delta<3>*Delta<4>^4",
+          "Delta<4>^4*L(1)", "Delta<4>^4*omega(4)")
+
+
+def _tokens(m: int) -> list[str]:
+    return ([f"Delta<{k}>" for k in range(2, m + 1)]
+            + [f"{c}({s})" for s in range(1, m + 1) for c in ("L", "omega", "f")])
+
+
+def _text(word) -> str:
+    counts = Counter(word)
+    return "*".join(t if counts[t] == 1 else f"{t}^{counts[t]}"
+                    for t in dict.fromkeys(word))
+
+
+def cases() -> list[tuple[int, str, str]]:
+    out = []
+    for m in (2, 3):
+        for word in combinations_with_replacement(_tokens(m), m + 1):
+            out.append((m, "int", _text(word)))
+        for word in combinations_with_replacement(_tokens(m), 2):
+            out.append((m, "nf", _text(word)))
+    out += [(4, "int", text) for text in LEVEL4]
+    return out
+
+
+def render_case(m: int, kind: str, text: str) -> str:
+    try:
+        if kind == "int":
+            return evaluate_integral(text, m).render()
+        return tautring.render_expr(evaluate_normal(text, m))
+    except (ValueError, KeyError) as exc:
+        return f"!{type(exc).__name__}: {exc}"
+
+
+def line(m: int, kind: str, text: str) -> str:
+    return f"{m}\t{kind}\t{text}\t{render_case(m, kind, text)}"
+
+
+def test_renders_match_the_golden_file():
+    want = DATA.read_text(encoding="utf-8").splitlines()
+    got = [line(*case) for case in cases()]
+    assert len(got) == len(want) == 1184
+    for g, w in zip(got, want):
+        assert g == w
+
+
+# -- the unchecked constructors ------------------------------------------
+
+
+def _rebuild(gen):
+    if isinstance(gen, tautring.DiagMonomial):
+        return tautring.DiagMonomial(gen.m, gen.blocks)
+    return tautring.NodeClass(gen.m, gen.I, gen.split, gen.jblocks,
+                              gen.kblocks, gen.flavor, gen.gamma_power)
+
+
+def test_rewrite_output_equals_its_public_rebuild(monkeypatch):
+    """Every generator the golden set reaches is canonical and valid.
+
+    Rewrite rules build generators without the public checks; each one
+    must equal its rebuild through the validating constructor, with the
+    same cached codimension and hash.
+    """
+    seen = {}
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            for gen in out.terms:
+                seen[id(gen)] = gen
+            return out
+        return wrapper
+
+    for name in ("mul_gamma_diag", "mul_gamma_node", "mul_class",
+                 "pullback", "pushforward"):
+        monkeypatch.setattr(tautring, name, recording(getattr(tautring, name)))
+    reached = 0
+    for m, kind, text in cases():
+        render_case(m, kind, text)
+        reached += len(seen)
+        for gen in seen.values():
+            rebuilt = _rebuild(gen)
+            assert gen == rebuilt and rebuilt == gen, gen
+            assert gen.codim() == rebuilt.codim(), gen
+            assert hash(gen) == hash(rebuilt), gen
+        seen.clear()
+    assert reached > 10000
+
+
+def test_each_geometry_gets_its_own_answer():
+    """One word under two pairings gives each its own answer.
+
+    Guards any cache of rewrite images: one kept past an evaluation
+    call, or shared between geometries, would hand the second
+    geometry the first one's images.
+    """
+    other = SurfaceGeometry(pairing={("L", "L"): 5, ("L", "omega"): 7})
+    word = "L(1)*L(2)*Delta<2>*Delta<3>"
+    for _ in range(2):
+        assert evaluate_integral(word, 3).render() == "2*L2"
+        assert evaluate_integral(word, 3, other).render() == "10"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text("".join(line(*case) + "\n" for case in cases()),
+                    encoding="utf-8")

@@ -295,6 +295,33 @@ class TestCliExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: level {level} below 1")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["vdm-check", "-m", "0"], "level 0 below 2"),
+        (["vdm-check", "-m", "1"], "level 1 below 2"),
+        (["ord-table", "-m", "0"], "level 0 below 1"),
+        (["ord-table", "-m", "-2"], "level -2 below 1"),
+        (["chern", "-m", "0"], "level 0 below 1"),
+        (["chern", "-m", "-1"], "level -1 below 1"),
+        (["chern", "-m", "10"], "level 10 above 9"),
+        (["chern", "-m", "12"], "level 12 above 9"),
+    ])
+    def test_subcommand_levels_out_of_range_exit_at_once(self, argv, message):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+    def test_lowest_levels_still_run(self):
+        code, out, _ = run_cli(["ord-table", "-m", "1"])
+        assert (code, out) == (0, "ord j=1 = 0 0\nprinted-quadratic j=1 = 0 0\n")
+        code, out, _ = run_cli(["vdm-check", "-m", "2"])
+        assert (code, out) == (0, "chain m=2 i=1 sign=-1 OK\n"
+                                  "syzygy lower m=2 i=1 j=0 sign=-1 OK\n"
+                                  "syzygy lower m=2 i=1 j=1 sign=-1 OK\n"
+                                  "syzygy raise m=2 i=2 j=0 sign=-1 OK\n"
+                                  "syzygy raise m=2 i=2 j=1 sign=-1 OK\n")
+        code, out, _ = run_cli(["chern", "-m", "1"])
+        assert (code, out) == (0, "c_0 = 1\nc_1 = q[{1}](L)\nc_2 = 0\n")
+
     def test_cancelling_sum_integrates_to_zero(self):
         code, out, err = run_cli(["integrate", "-m", "4",
                                   "Delta<4>^5 - Delta<4>^5"])

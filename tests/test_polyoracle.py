@@ -13,7 +13,6 @@ from tautcalc.polyoracle import (
     check_syzygy,
     derived_eta_exponent,
     derived_ord_formula,
-    diagonal_vanish,
     elementary_symmetric,
     eta_valuation,
     ord_table,
@@ -232,6 +231,25 @@ def test_printed_eta_exponent_differs():
         if printed_eta_exponent(m, i, j) != derived_eta_exponent(m, i, j)
     ]
     assert diffs, "reference exponent should not match the computed one everywhere"
+
+
+def diagonal_vanish(m: int, i: int) -> bool:
+    """G_i dies when slots 1 and 2 collide."""
+    g = vdm_det(m, i)
+    folded = {}
+    for mono, coeff in g.terms.items():
+        merged = list(mono)
+        merged[0] += merged[1]
+        merged[1] = 0
+        merged[m] += merged[m + 1]
+        merged[m + 1] = 0
+        key = tuple(merged)
+        s = folded.get(key, 0) + coeff
+        if s:
+            folded[key] = s
+        else:
+            folded.pop(key, None)
+    return QuotPoly(m, folded).is_zero()
 
 
 def test_diagonal_vanish():

@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from tautcalc import tautring
 from tautcalc.charpoly import CharacterPolynomial as CP, symbol
 from tautcalc.exprparse import evaluate_integral, evaluate_normal, parse, to_words
 from tautcalc.schubert import NSEC3_TUPLES
@@ -386,7 +387,7 @@ class TestSingleExpansion:
             assert integrate_word([D(1)], m) == CP.zero()
             assert integrate_word([G(1)] + [G(m)] * m, m) == CP.zero()
         # expand_monomial checks the codimension before Gamma<1> kills,
-        # while Delta<1> kills during the expansion itself
+        # while Delta<1> kills as the factors are read
         assert expand_monomial([G(1), G(2)], 3).is_zero()
         with pytest.raises(DimensionError):
             expand_monomial([G(1)] * 5, 3)
@@ -395,6 +396,18 @@ class TestSingleExpansion:
         assert integrate_word([D(1), D(4)], 3) == CP.zero()
         with pytest.raises(ValueError):
             integrate_word([D(4), D(1)], 3)
+
+    def test_codimension_is_checked_before_expanding(self, monkeypatch):
+        def no_expand(*_args):
+            raise AssertionError("_expand called")
+
+        monkeypatch.setattr(tautring, "_expand", no_expand)
+        with pytest.raises(DimensionError, match=r"^word has codimension 1000,"
+                           r" integration needs 4$"):
+            evaluate_integral("Delta<3>^1000", 3)
+        with pytest.raises(DimensionError,
+                           match=r"^word exceeds the dimension of the level$"):
+            evaluate_normal("Delta<3>^1000", 3)
 
 
 def seeded_sums(m, count, degree, seed):
