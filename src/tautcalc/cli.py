@@ -21,6 +21,7 @@ from math import comb
 from .charpoly import CharacterPolynomial, symbol
 from .exprparse import ParseError, evaluate_integral, evaluate_normal
 from .polyoracle import (
+    ValuationInstabilityError,
     check_chain,
     check_syzygy,
     derived_eta_exponent,
@@ -82,6 +83,13 @@ def _at_least(level: int, lowest: int) -> int:
     """Refuse a level below the lowest one a command has anything for."""
     if level < lowest:
         raise _UsageError(f"level {level} below {lowest}")
+    return level
+
+
+def _at_most(level: int, highest: int, reason: str) -> int:
+    """Refuse a level above the highest one a command handles."""
+    if level > highest:
+        raise _UsageError(f"level {level} above {highest}: {reason}")
     return level
 
 
@@ -148,7 +156,8 @@ def cmd_colength(args) -> int:
 
 def cmd_vdm_check(args) -> int:
     # the chain and syzygy identities start at level 2
-    top = 5 if args.level is None else _at_least(args.level, 2)
+    top = 5 if args.level is None else _at_most(
+        _at_least(args.level, 2), 7, "a generator has m! terms")
     for m in range(2, top + 1):
         for i in range(1, m):
             sign = check_chain(m, i)
@@ -166,7 +175,8 @@ def cmd_vdm_check(args) -> int:
 
 
 def cmd_ord_table(args) -> int:
-    m = 4 if args.level is None else _at_least(args.level, 1)
+    m = 4 if args.level is None else _at_most(
+        _at_least(args.level, 1), 6, "a generator has m! terms")
     table = ord_table(m, seed=args.seed)
     for j in range(1, m + 1):
         row = " ".join(str(table[(j, size)]) for size in range(m + 1))
@@ -181,7 +191,8 @@ def cmd_ord_table(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    m, i, j = args.level, args.i, args.j
+    m = _at_most(args.level, 6, "G_1^2 multiplies (m!)^2 term pairs")
+    i, j = args.i, args.j
     value = eta_valuation(m, i, j)
     derived = derived_eta_exponent(m, i, j)
     printed = printed_eta_exponent(m, i, j)
@@ -215,10 +226,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_chern(args) -> int:
-    m = _at_least(args.level, 1)
-    if m > 9:
-        raise _UsageError(
-            f"level {m} above 9: slot digits are read one at a time")
+    m = _at_most(_at_least(args.level, 1), 9,
+                 "slot digits are read one at a time")
     pieces = chern_taut(m)
     _emit(args, [(f"c_{d}", render_expr(p)) for d, p in enumerate(pieces)])
     return 0
@@ -556,7 +565,7 @@ def main(argv=None) -> int:
     except (DimensionError, UnsupportedProductError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, ValuationInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -12,18 +12,27 @@ Monomials x^a y^b t^e with some min(a_i, b_i) > 0 are reduced by
 x_i y_i -> t.  Reduced monomials stay reduced under multiplication by
 t, so the minimal t-exponent of a normal form is the exact t-adic
 valuation.
+
+The kernels work in Python ints wherever the values are integers.  A
+product adds the exponents and reduces x_i y_i -> t in one pass.  An
+arc restriction multiplies every term by the same nonzero product of
+powers of its constants, which makes every power of a constant a
+non-negative int power; a common nonzero factor cannot change which
+t-powers cancel, so the valuation is the same as over Q.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from operator import add
 
 Coeff = int | Fraction
 
 
 class ValuationInstabilityError(RuntimeError):
-    """Arc valuations kept disagreeing across random parameter draws."""
+    """Arc valuations kept disagreeing, or vanishing, across random
+    parameter draws."""
 
 
 class QuotPoly:
@@ -35,7 +44,7 @@ class QuotPoly:
 
     __slots__ = ("m", "terms")
 
-    def __init__(self, m: int, terms=None, reduce: bool = True):
+    def __init__(self, m: int, terms=None):
         self.m = m
         raw = terms or {}
         out: dict[tuple, Coeff] = {}
@@ -43,9 +52,17 @@ class QuotPoly:
             c = coeff if isinstance(coeff, int) else Fraction(coeff)
             if not c:
                 continue
-            key = _reduce_mono(m, mono) if reduce else tuple(mono)
+            key = _reduce_mono(m, mono)
             out[key] = out.get(key, 0) + c
         self.terms = {k: v for k, v in out.items() if v}
+
+    @classmethod
+    def _from_normal(cls, m: int, terms: dict) -> "QuotPoly":
+        # terms must already be normal: reduced keys, nonzero coefficients
+        poly = object.__new__(cls)
+        poly.m = m
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls, m: int) -> "QuotPoly":
@@ -80,26 +97,42 @@ class QuotPoly:
                 out[mono] = s
             else:
                 out.pop(mono, None)
-        return QuotPoly(self.m, out, reduce=False)
+        return QuotPoly._from_normal(self.m, out)
 
     def __neg__(self):
-        return QuotPoly(self.m, {k: -v for k, v in self.terms.items()}, reduce=False)
+        return QuotPoly._from_normal(self.m, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        m = self.m
         if isinstance(other, (int, Fraction)):
-            return QuotPoly(
-                self.m, {k: v * other for k, v in self.terms.items()}, reduce=False
+            if not other:
+                return QuotPoly._from_normal(m, {})
+            return QuotPoly._from_normal(
+                m, {k: v * other for k, v in self.terms.items()}
             )
-        assert self.m == other.m
+        assert m == other.m
+        n = 2 * m
         out: dict[tuple, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key = _reduce_mono(self.m, tuple(a + b for a, b in zip(m1, m2)))
+                # both factors are reduced, so only a slot where one brings
+                # x_i and the other y_i needs x_i y_i -> t
+                mono = list(map(add, m1, m2))
+                for i in range(m):
+                    a = mono[i]
+                    if a:
+                        b = mono[m + i]
+                        if b:
+                            k = a if a < b else b
+                            mono[i] = a - k
+                            mono[m + i] = b - k
+                            mono[n] += k
+                key = tuple(mono)
                 out[key] = out.get(key, 0) + c1 * c2
-        return QuotPoly(self.m, out, reduce=False)
+        return QuotPoly._from_normal(m, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -154,16 +187,25 @@ def vdm_det(m: int, i: int) -> QuotPoly:
     # (exponent offset, power) per row: x-powers sit at offset 0, y at m
     rows = [(0, p) for p in range(m - i + 1)] + [(m, p) for p in range(1, i)]
     det: dict[tuple, int] = {}
-    for perm in permutations(range(m)):
-        mono = [0] * (2 * m + 1)
-        for (offset, power), col in zip(rows, perm):
-            if power:
-                mono[offset + col] = power
-        inversions = sum(a > b for a, b in combinations(perm, 2))
-        det[tuple(mono)] = -1 if inversions % 2 else 1
+    mono = [0] * (2 * m + 1)
+
+    def place(r: int, free: list, sign: int) -> None:
+        # row r takes a free column; the one at position pos passes over
+        # pos smaller free columns, which is pos inversions
+        if r == m:
+            det[tuple(mono)] = sign
+            return
+        offset, power = rows[r]
+        for pos, col in enumerate(free):
+            mono[offset + col] = power
+            place(r + 1, free[:pos] + free[pos + 1:], -sign if pos & 1 else sign)
+            mono[offset + col] = 0
+
+    place(0, list(range(m)), 1)
     if det[max(det)] < 0:
         det = {k: -v for k, v in det.items()}
-    return QuotPoly(m, det)
+    # one row per column, so no slot carries both x_k and y_k: reduced
+    return QuotPoly._from_normal(m, det)
 
 
 def elementary_symmetric(m: int, k: int, variable: str) -> QuotPoly:
@@ -247,8 +289,9 @@ def arc_valuation(m: int, j: int, component, seed: int = 0) -> int:
 
     `component` is the set of slots whose x-coordinate stays generic
     (x_i = c_i, y_i = t/c_i); the remaining slots have y generic.  Two
-    independent random draws of the constants must agree; accidental
-    cancellations trigger a retry, then an error.
+    independent random draws of the constants must agree; a draw whose
+    restriction vanishes, or two draws that disagree, are accidental
+    cancellations and trigger a retry, up to 5 attempts, then an error.
     """
     I = frozenset(component)
     if not I <= set(range(1, m + 1)):
@@ -259,37 +302,53 @@ def arc_valuation(m: int, j: int, component, seed: int = 0) -> int:
         vals = []
         for sub in range(2):
             rng = random.Random(hash((seed, attempt, sub, m, j, tuple(sorted(I)))))
-            consts = {i: Fraction(rng.randint(2, 10 ** 6)) for i in range(1, m + 1)}
+            consts = [rng.randint(2, 10 ** 6) for _ in range(m)]
             vals.append(_substituted_valuation(g, m, I, consts))
-        if vals[0] == vals[1]:
+        if vals[0] is not None and vals[0] == vals[1]:
             return vals[0]
         attempts.append(tuple(vals))
     raise ValuationInstabilityError(
-        f"valuation of G_{j} on {sorted(I)} unstable after 5 draws: {attempts}"
+        f"valuation of G_{j} on {sorted(I)} unstable after 5 draws"
+        f" (None: the restriction vanished): {attempts}"
     )
 
 
-def _substituted_valuation(g: QuotPoly, m: int, I: frozenset, consts) -> int:
-    by_exponent: dict[int, Coeff] = {}
+def _substituted_valuation(g: QuotPoly, m: int, I: frozenset, consts) -> int | None:
+    """t-order of g at x_i = c_i, y_i = t/c_i for i in I and at
+    x_i = t/c_i, y_i = c_i off I, or None if the restriction vanishes.
+
+    `consts` lists the nonzero int constants c_1..c_m.  Every term is
+    multiplied by the same prod c_i^(-d_i), with d_i the lowest exponent
+    of c_i over all terms or 0 if none is negative, so every power is a
+    non-negative int power.
+    """
+    on = [i + 1 in I for i in range(m)]
+    n = 2 * m
+    rows = []
+    low = [0] * m
     for mono, coeff in g.terms.items():
-        t_exp = mono[2 * m]
-        scale = coeff
-        for i in range(1, m + 1):
-            xe, ye = mono[i - 1], mono[m + i - 1]
-            if i in I:
+        t_exp = mono[n]
+        exps = []
+        for i in range(m):
+            xe, ye = mono[i], mono[m + i]
+            if on[i]:
                 t_exp += ye
-                scale *= consts[i] ** (xe - ye)
+                e = xe - ye
             else:
                 t_exp += xe
-                scale *= consts[i] ** (ye - xe)
-        s = by_exponent.get(t_exp, Fraction(0)) + scale
-        if s:
-            by_exponent[t_exp] = s
-        else:
-            by_exponent.pop(t_exp, None)
-    if not by_exponent:
-        raise ValueError("arc restriction vanished identically")
-    return min(by_exponent)
+                e = ye - xe
+            if e < low[i]:
+                low[i] = e
+            exps.append(e)
+        rows.append((t_exp, coeff, exps))
+    by_exponent: dict[int, Coeff] = {}
+    for t_exp, scale, exps in rows:
+        for c, e, d in zip(consts, exps, low):
+            if e != d:
+                scale *= c ** (e - d)
+        by_exponent[t_exp] = by_exponent.get(t_exp, 0) + scale
+    orders = [e for e, s in by_exponent.items() if s]
+    return min(orders) if orders else None
 
 
 def ord_table(m: int, seed: int = 0) -> dict[tuple[int, int], int]:

@@ -6,6 +6,12 @@ The weight beta(m, j) is the colength of that ideal plus one generic
 binomial y^j + eta*x^(m-j); these weights drive the node-scroll terms
 of the intersection calculus.  Colengths are computed exactly by a
 bivariate Buchberger loop in degrevlex order with x > y.
+
+Coefficients are int first: integer input stays int, an integral eta
+goes in as an int, and every division goes through `_quotient`, which
+returns an int when the quotient is exact and a Fraction otherwise.
+Only the number types depend on this; every basis, remainder and
+colength has the same value as in all-Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -16,7 +22,8 @@ from itertools import count
 from math import comb
 
 Mono = tuple[int, int]
-Poly = dict[Mono, Fraction]
+Coeff = int | Fraction
+Poly = dict[Mono, Coeff]
 
 
 class GenericityError(RuntimeError):
@@ -33,10 +40,11 @@ class InfiniteColengthError(ValueError):
 
 def minimalize(corners) -> tuple[Mono, ...]:
     """Drop monomial generators dominated by another generator."""
-    corners = set(corners)
+    # in sorted order a corner is dominated exactly when an earlier one
+    # has a y-exponent no larger than its own
     keep = []
-    for a, b in sorted(corners):
-        if not any((c, d) != (a, b) and c <= a and d <= b for c, d in corners):
+    for a, b in sorted(set(corners)):
+        if not keep or b < keep[-1][1]:
             keep.append((a, b))
     return tuple(keep)
 
@@ -79,14 +87,23 @@ def _divides(a: Mono, b: Mono) -> bool:
     return a[0] <= b[0] and a[1] <= b[1]
 
 
-def _shift_scale(p: Poly, shift: Mono, scale: Fraction) -> Poly:
+def _quotient(a: Coeff, b: Coeff) -> Coeff:
+    """a / b for b nonzero: an int when the quotient is one, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _shift_scale(p: Poly, shift: Mono, scale: Coeff) -> Poly:
     return {(a + shift[0], b + shift[1]): c * scale for (a, b), c in p.items()}
 
 
 def _add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for mono, c in q.items():
-        s = out.get(mono, Fraction(0)) + c
+        s = out.get(mono, 0) + c
         if s:
             out[mono] = s
         else:
@@ -108,8 +125,11 @@ def _reduce(p: Poly, basis: list[Poly], lms: list[Mono]) -> Poly:
         lc = work[lm]
         for g, glm in zip(basis, lms):
             if _divides(glm, lm):
-                shift = (lm[0] - glm[0], lm[1] - glm[1])
-                work = _add(work, _shift_scale(g, shift, -lc / g[glm]))
+                if len(g) == 1:
+                    del work[lm]  # a monomial multiple only cancels lm
+                else:
+                    shift = (lm[0] - glm[0], lm[1] - glm[1])
+                    work = _add(work, _shift_scale(g, shift, _quotient(-lc, g[glm])))
                 break
         else:
             remainder[lm] = lc
@@ -126,13 +146,16 @@ def buchberger(gens) -> list[Poly]:
     order = count()
 
     def queue_pairs(i: int) -> None:
+        a, b = lms[i]
+        single = len(basis[i]) == 1
         for j in range(i):
-            lmi, lmj = lms[i], lms[j]
-            if len(basis[i]) == 1 and len(basis[j]) == 1:
+            c, d = lms[j]
+            if single and len(basis[j]) == 1:
                 continue  # two monomials: the S-polynomial is 0
-            if min(lmi[0], lmj[0]) == 0 and min(lmi[1], lmj[1]) == 0:
+            if (a == 0 or c == 0) and (b == 0 or d == 0):
                 continue  # coprime leading terms: it reduces to 0
-            heapq.heappush(pairs, (_deg(_lcm(lmi, lmj)), next(order), i, j))
+            lcm_deg = (a if a > c else c) + (b if b > d else d)
+            heapq.heappush(pairs, (lcm_deg, next(order), i, j))
 
     for i in range(len(basis)):
         queue_pairs(i)
@@ -152,13 +175,13 @@ def _lcm(a: Mono, b: Mono) -> Mono:
 
 def _s_poly(p: Poly, lp: Mono, q: Poly, lq: Mono) -> Poly:
     lcm = _lcm(lp, lq)
-    left = _shift_scale(p, (lcm[0] - lp[0], lcm[1] - lp[1]), Fraction(1) / p[lp])
-    right = _shift_scale(q, (lcm[0] - lq[0], lcm[1] - lq[1]), Fraction(1) / q[lq])
+    left = _shift_scale(p, (lcm[0] - lp[0], lcm[1] - lp[1]), _quotient(1, p[lp]))
+    right = _shift_scale(q, (lcm[0] - lq[0], lcm[1] - lq[1]), _quotient(1, q[lq]))
     return _add(left, {m: -c for m, c in right.items()})
 
 
 def monomial_poly(mono: Mono, coeff=1) -> Poly:
-    return {mono: Fraction(coeff)}
+    return {mono: coeff if isinstance(coeff, int) else Fraction(coeff)}
 
 
 def colength(gens) -> int:
@@ -179,6 +202,8 @@ def colength(gens) -> int:
 
 def _beta_single(m: int, j: int, eta: Fraction) -> int:
     gens = [monomial_poly(c) for c in j_m(m)]
+    if eta.denominator == 1:
+        eta = eta.numerator
     binom = _add(monomial_poly((0, j)), monomial_poly((m - j, 0), eta))
     return colength(gens + [binom])
 

@@ -1,0 +1,325 @@
+"""The integer kernels of polyoracle and staircase against Fraction ones.
+
+The first part of this module keeps the all-Fraction kernels that the
+integer ones replaced: arc restrictions summed in Fraction arithmetic,
+the quotient product that reduces every term pair through its own pass,
+and the Buchberger loop with every coefficient a Fraction.  The tests
+compare both on random draws: arc constants that collide, so that a
+restriction vanishes, quotient elements with non-integral coefficients,
+and binomial slopes eta that are negative or not integers.
+"""
+
+from __future__ import annotations
+
+import heapq
+from fractions import Fraction
+from itertools import count
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tautcalc import polyoracle, staircase
+from tautcalc.polyoracle import QuotPoly, vdm_det
+
+
+# -- the Fraction kernels -------------------------------------------------
+
+
+def fraction_substituted_valuation(g, m, I, consts):
+    """t-order of the restriction of g, with constants {i: Fraction}."""
+    by_exponent = {}
+    for mono, coeff in g.terms.items():
+        t_exp = mono[2 * m]
+        scale = coeff
+        for i in range(1, m + 1):
+            xe, ye = mono[i - 1], mono[m + i - 1]
+            if i in I:
+                t_exp += ye
+                scale *= consts[i] ** (xe - ye)
+            else:
+                t_exp += xe
+                scale *= consts[i] ** (ye - xe)
+        s = by_exponent.get(t_exp, Fraction(0)) + scale
+        if s:
+            by_exponent[t_exp] = s
+        else:
+            by_exponent.pop(t_exp, None)
+    if not by_exponent:
+        raise ValueError("arc restriction vanished identically")
+    return min(by_exponent)
+
+
+def reduce_mono(m, mono):
+    mono = list(mono)
+    for i in range(m):
+        k = min(mono[i], mono[m + i])
+        if k:
+            mono[i] -= k
+            mono[m + i] -= k
+            mono[2 * m] += k
+    return tuple(mono)
+
+
+def pairwise_product(p, q):
+    """Terms of p*q, each term pair reduced on its own."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            key = reduce_mono(p.m, tuple(a + b for a, b in zip(m1, m2)))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _term_key(mono):
+    return (mono[0] + mono[1], -mono[1])
+
+
+def leading_monomial(p):
+    return max(p, key=_term_key)
+
+
+def _divides(a, b):
+    return a[0] <= b[0] and a[1] <= b[1]
+
+
+def _shift_scale(p, shift, scale):
+    return {(a + shift[0], b + shift[1]): c * scale for (a, b), c in p.items()}
+
+
+def _add(p, q):
+    out = dict(p)
+    for mono, c in q.items():
+        s = out.get(mono, Fraction(0)) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _reduce(p, basis, lms):
+    remainder = {}
+    work = dict(p)
+    while work:
+        lm = leading_monomial(work)
+        lc = work[lm]
+        for g, glm in zip(basis, lms):
+            if _divides(glm, lm):
+                shift = (lm[0] - glm[0], lm[1] - glm[1])
+                work = _add(work, _shift_scale(g, shift, -lc / g[glm]))
+                break
+        else:
+            remainder[lm] = lc
+            del work[lm]
+    return remainder
+
+
+def _lcm(a, b):
+    return (max(a[0], b[0]), max(a[1], b[1]))
+
+
+def _s_poly(p, lp, q, lq):
+    lcm = _lcm(lp, lq)
+    left = _shift_scale(p, (lcm[0] - lp[0], lcm[1] - lp[1]), Fraction(1) / p[lp])
+    right = _shift_scale(q, (lcm[0] - lq[0], lcm[1] - lq[1]), Fraction(1) / q[lq])
+    return _add(left, {m: -c for m, c in right.items()})
+
+
+def fraction_buchberger(gens):
+    basis = [{m: Fraction(c) for m, c in g.items()} for g in gens if g]
+    lms = [leading_monomial(g) for g in basis]
+    pairs = []
+    order = count()
+
+    def queue_pairs(i):
+        for j in range(i):
+            lmi, lmj = lms[i], lms[j]
+            if len(basis[i]) == 1 and len(basis[j]) == 1:
+                continue
+            if min(lmi[0], lmj[0]) == 0 and min(lmi[1], lmj[1]) == 0:
+                continue
+            lcm = _lcm(lmi, lmj)
+            heapq.heappush(pairs, (lcm[0] + lcm[1], next(order), i, j))
+
+    for i in range(len(basis)):
+        queue_pairs(i)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        s = _reduce(_s_poly(basis[i], lms[i], basis[j], lms[j]), basis, lms)
+        if s:
+            basis.append(s)
+            lms.append(leading_monomial(s))
+            queue_pairs(len(basis) - 1)
+    return basis
+
+
+def quadratic_minimalize(corners):
+    corners = set(corners)
+    keep = []
+    for a, b in sorted(corners):
+        if not any((c, d) != (a, b) and c <= a and d <= b for c, d in corners):
+            keep.append((a, b))
+    return tuple(keep)
+
+
+def fraction_colength(basis):
+    corners = quadratic_minimalize(leading_monomial(g) for g in basis)
+    height = min(b for a, b in corners if a == 0)
+    return sum(min(a for a, bb in corners if bb <= b) for b in range(height))
+
+
+# -- arc valuations ---------------------------------------------------------
+
+
+@st.composite
+def arc_draws(draw):
+    m = draw(st.integers(2, 5))
+    j = draw(st.integers(1, m))
+    I = frozenset(draw(st.sets(st.integers(1, m))))
+    # a narrow range makes constants collide, and with them restrictions
+    # that vanish identically
+    top = draw(st.sampled_from((4, 10 ** 6)))
+    consts = draw(st.lists(st.integers(2, top), min_size=m, max_size=m))
+    return m, j, I, consts
+
+
+def _fraction_order(g, m, I, consts):
+    try:
+        return fraction_substituted_valuation(
+            g, m, I, {i + 1: Fraction(c) for i, c in enumerate(consts)})
+    except ValueError:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(arc_draws())
+@example((3, 1, frozenset({1, 2, 3}), [5, 5, 7]))  # vanishes: columns 1, 2 agree
+@example((4, 2, frozenset({1, 2}), [9, 9, 3, 8]))
+def test_int_arc_valuation_matches_fraction(draw):
+    m, j, I, consts = draw
+    g = vdm_det(m, j)
+    assert (polyoracle._substituted_valuation(g, m, I, consts)
+            == _fraction_order(g, m, I, consts))
+
+
+def test_a_collision_vanishes_in_both_kernels():
+    g = vdm_det(3, 1)
+    I = frozenset({1, 2, 3})
+    assert polyoracle._substituted_valuation(g, 3, I, [5, 5, 7]) is None
+    assert _fraction_order(g, 3, I, [5, 5, 7]) is None
+
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def quot_polys(draw, m):
+    monos = st.tuples(*[st.integers(0, 3)] * (2 * m + 1))
+    return QuotPoly(m, draw(st.dictionaries(monos, coefficients, max_size=6)))
+
+
+def _arc_factor(mono, m, I, consts):
+    """t-exponent and constant factor of a monomial on the arc."""
+    t_exp, factor = mono[2 * m], Fraction(1)
+    for i in range(1, m + 1):
+        xe, ye = mono[i - 1], mono[m + i - 1]
+        if i in I:
+            t_exp += ye
+            factor *= Fraction(consts[i - 1]) ** (xe - ye)
+        else:
+            t_exp += xe
+            factor *= Fraction(consts[i - 1]) ** (ye - xe)
+    return t_exp, factor
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    quot_polys(m),
+    st.lists(st.integers(2, 9), min_size=m, max_size=m),
+    st.sets(st.integers(1, m)))))
+def test_int_arc_valuation_after_a_forced_cancellation(args):
+    # one coefficient of the lowest t-order is set so that the order
+    # cancels exactly; the valuation then moves to the next order present
+    p, consts, I = args
+    m = p.m
+    terms = dict(p.terms)
+    by_order = {}
+    for mono in terms:
+        t_exp, factor = _arc_factor(mono, m, I, consts)
+        by_order.setdefault(t_exp, []).append((mono, factor))
+    if by_order:
+        *rest, (last, factor) = by_order[min(by_order)]
+        terms[last] = -sum(terms[mono] * f for mono, f in rest) / factor
+    g = QuotPoly(m, terms)
+    assert (polyoracle._substituted_valuation(g, m, I, consts)
+            == _fraction_order(g, m, I, consts))
+
+
+# -- quotient products ------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.tuples(quot_polys(m), quot_polys(m), coefficients)))
+def test_one_pass_product_matches_pairwise_reduction(args):
+    p, q, c = args
+    m = p.m
+    product = p * q
+    assert product.terms == pairwise_product(p, q)
+    assert all(reduce_mono(m, k) == k and v for k, v in product.terms.items())
+    assert product == q * p
+    assert (p * c).terms == {k: v * c for k, v in p.terms.items() if v * c}
+    assert c * p == p * c
+
+
+def test_product_of_generators_matches_pairwise_reduction():
+    for m in (2, 3, 4):
+        e = polyoracle.elementary_symmetric(m, m, "y")
+        for i in range(1, m + 1):
+            g = vdm_det(m, i)
+            assert (e * g).terms == pairwise_product(e, g)
+            assert (g * g).terms == pairwise_product(g, g)
+
+
+# -- Buchberger -------------------------------------------------------------
+
+
+etas = st.one_of(
+    st.integers(-40, 40).filter(bool),
+    st.fractions(min_value=-40, max_value=40, max_denominator=31).filter(bool),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 8).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, m - 1), etas)))
+@example((5, 2, Fraction(-3, 5)))
+@example((7, 3, Fraction(97, 31)))
+@example((6, 4, -7))
+def test_int_first_buchberger_matches_fraction(args):
+    m, j, eta = args
+    corners = [staircase.monomial_poly(c) for c in staircase.j_m(m)]
+    binom = {(0, j): 1, (m - j, 0): eta}
+    basis = staircase.buchberger(corners + [binom])
+    reference = fraction_buchberger(corners + [binom])
+    assert basis == reference
+    assert staircase._beta_single(m, j, Fraction(eta)) == fraction_colength(reference)
+    lms = [leading_monomial(g) for g in reference]
+    probe = {(m, m): Fraction(1, 3), (1, m): eta, (2 * m, 0): -2}
+    assert staircase.normal_form(probe, basis) == _reduce(
+        {k: Fraction(v) for k, v in probe.items()}, reference, lms)
+
+
+def test_integral_eta_stays_int():
+    corners = [staircase.monomial_poly(c) for c in staircase.j_m(5)]
+    basis = staircase.buchberger(corners + [{(0, 2): 1, (3, 0): -1}])
+    assert all(type(c) is int for g in basis for c in g.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=12))
+def test_sweep_minimalize_matches_quadratic(corners):
+    assert staircase.minimalize(corners) == quadratic_minimalize(corners)

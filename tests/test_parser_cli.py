@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from tautcalc import cli, polyoracle
 from tautcalc.charpoly import symbol
 from tautcalc.cli import main
 from tautcalc.exprparse import ParseError, evaluate_integral, evaluate_normal
@@ -13,6 +14,10 @@ from tautcalc.tautring import render_expr
 omegaL = symbol("omegaL")
 L2 = symbol("L2")
 dL = symbol("dL")
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the command ran work it should have refused")
 
 
 def run_cli(argv):
@@ -304,11 +309,38 @@ class TestCliExitCodes:
         (["chern", "-m", "-1"], "level -1 below 1"),
         (["chern", "-m", "10"], "level 10 above 9"),
         (["chern", "-m", "12"], "level 12 above 9"),
+        (["vdm-check", "-m", "8"], "level 8 above 7"),
+        (["ord-table", "-m", "7"], "level 7 above 6"),
+        (["ord-table", "-m", "40", "--seed", "3"], "level 40 above 6"),
+        (["eta", "7", "1", "2"], "level 7 above 6"),
+        (["eta", "1000", "1", "1"], "level 1000 above 6"),
     ])
-    def test_subcommand_levels_out_of_range_exit_at_once(self, argv, message):
+    def test_subcommand_levels_out_of_range_exit_at_once(self, argv, message,
+                                                         monkeypatch):
+        # refused before any oracle runs
+        for name in ("check_chain", "check_syzygy", "ord_table",
+                     "eta_valuation", "chern_taut"):
+            monkeypatch.setattr(cli, name, _never)
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
+
+    def test_vanished_draw_retried_in_the_cli(self):
+        # at the seeds below a draw of level 4 vanishes; it is drawn again
+        for seed in ("226", "352557"):
+            code, out, err = run_cli(["ord-table", "-m", "4", "--seed", seed])
+            assert (code, err) == (0, "")
+            assert out.splitlines()[:4] == ["ord j=1 = 6 3 1 0 0",
+                                            "ord j=2 = 3 1 0 0 1",
+                                            "ord j=3 = 1 0 0 1 3",
+                                            "ord j=4 = 0 0 1 3 6"]
+
+    def test_unstable_valuation_exits_cleanly(self, monkeypatch):
+        monkeypatch.setattr(polyoracle, "_substituted_valuation",
+                            lambda g, m, I, consts: None)
+        code, out, err = run_cli(["ord-table", "-m", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: valuation of G_1 on [] unstable")
 
     def test_lowest_levels_still_run(self):
         code, out, _ = run_cli(["ord-table", "-m", "1"])

@@ -6,8 +6,10 @@ from math import factorial
 
 import pytest
 
+from tautcalc import polyoracle
 from tautcalc.polyoracle import (
     QuotPoly,
+    ValuationInstabilityError,
     arc_valuation,
     check_chain,
     check_syzygy,
@@ -187,6 +189,27 @@ def test_ord_table_matches_derived_formula():
             assert value == derived_ord_formula(m, j, size)
             zero_sizes = {s for s in range(m + 1) if table[(j, s)] == 0}
             assert zero_sizes == {m - j, m - j + 1} & set(range(m + 1))
+
+
+def test_ord_table_retries_a_vanished_draw():
+    # at seed 226 one draw of level 4 gives two slots on the same side
+    # of the component equal constants, so its restriction vanishes
+    table = ord_table(4, 226)
+    assert table == {(j, size): derived_ord_formula(4, j, size)
+                     for j in range(1, 5) for size in range(5)}
+
+
+def test_vanished_draws_raise_only_after_five_attempts(monkeypatch):
+    calls = []
+
+    def vanishing(g, m, I, consts):
+        calls.append(consts)
+        return None
+
+    monkeypatch.setattr(polyoracle, "_substituted_valuation", vanishing)
+    with pytest.raises(ValuationInstabilityError, match="after 5 draws"):
+        arc_valuation(3, 1, {1})
+    assert len(calls) == 10
 
 
 def test_printed_ord_formula_is_doubled_complement_count():
