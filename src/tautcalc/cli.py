@@ -125,8 +125,9 @@ def _etas_from(args):
 
 
 def cmd_alpha(args) -> int:
-    value = alpha(args.level)
-    printed = printed_alpha_closed_form(args.level)
+    m = _at_least(args.level, 1)
+    value = alpha(m)
+    printed = printed_alpha_closed_form(m)
     if args.format == "kv":
         print(f"alpha = {value}")
         print(f"printed_closed_form = {printed}")
@@ -138,18 +139,19 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    m = _at_least(args.level, 2)
     etas = _etas_from(args)
     if args.slope is not None:
-        value = beta(args.level, args.slope, etas=etas)
+        value = beta(m, args.slope, etas=etas)
         _emit(args, [("beta", value)])
         return 0
-    row = beta(args.level, etas=etas)
+    row = beta(m, etas=etas)
     _emit(args, [("beta", " ".join(str(v) for v in row))])
     return 0
 
 
 def cmd_colength(args) -> int:
-    gens = [monomial_poly(c) for c in j_m(args.level)]
+    gens = [monomial_poly(c) for c in j_m(_at_least(args.level, 1))]
     _emit(args, [("colength", colength(gens))])
     return 0
 
@@ -191,7 +193,8 @@ def cmd_ord_table(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    m = _at_most(args.level, 6, "G_1^2 multiplies (m!)^2 term pairs")
+    m = _at_most(_at_least(args.level, 1), 6,
+                 "G_1^2 multiplies (m!)^2 term pairs")
     i, j = args.i, args.j
     value = eta_valuation(m, i, j)
     derived = derived_eta_exponent(m, i, j)

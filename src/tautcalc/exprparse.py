@@ -37,7 +37,14 @@ from .surface import (
     SurfaceGeometry,
     default_geometry,
 )
-from .tautring import DiagMonomial, NodeClass, TautExpr, _integrate_words, _normal_words
+from .tautring import (
+    DiagMonomial,
+    NodeClass,
+    TautExpr,
+    _integrate_words,
+    _normal_words,
+    _unit_fillings,
+)
 
 __all__ = [
     "ParseError",
@@ -327,26 +334,12 @@ def parse(text: str, level: int):
 
 def _node_exprs(profile, m: int) -> TautExpr:
     _tag, I, split, jblocks, kblocks, flavor, gamma_power = profile
-    out = TautExpr(m)
-    if split is not None:
-        out.add(NodeClass(m, I, split, jblocks, kblocks, flavor, gamma_power),
-                CharacterPolynomial.one())
-        return out
-    # short form: sum of complete unit fillings of the free slots
-    others = tuple(s for s in range(1, m + 1) if s not in I)
-    if flavor == "reducible":
-        for mask in range(1 << len(others)):
-            j = tuple(((s,), "1") for t, s in enumerate(others)
-                      if not mask >> t & 1)
-            k = tuple(((s,), "1") for t, s in enumerate(others)
-                      if mask >> t & 1)
-            out.add(NodeClass(m, I, 1, j, k, flavor, gamma_power),
-                    CharacterPolynomial.one())
+    if split is None:
+        # short form: sum of complete unit fillings of the free slots
+        nodes = _unit_fillings(m, I, flavor, gamma_power)
     else:
-        j = tuple(((s,), "1") for s in others)
-        out.add(NodeClass(m, I, 1, j, (), flavor, gamma_power),
-                CharacterPolynomial.one())
-    return out
+        nodes = [NodeClass(m, I, split, jblocks, kblocks, flavor, gamma_power)]
+    return TautExpr(m, {node: CharacterPolynomial.one() for node in nodes})
 
 
 def to_words(ast, m: int):

@@ -23,10 +23,12 @@ rewrites keep by construction.  Codimension and hash are computed once,
 when a generator is built.
 
 The Gamma.NS rewrite uses the self-intersection relation on a scroll.
-Its Chern coefficients distinguish the top slot m of the level from the
-other slots (the tower is built by adjoining one slot at a time, and
-the last slot carries one extra twist); the uniform table one might
-guess instead fails every cross-check of the integral battery.
+Its bundle has two line-bundle factors a and b, so c1 = a + b and
+c2 = a.b are both read off the same two factor lists.  Their
+coefficients distinguish the top slot m of the level from the other
+slots (the tower is built by adjoining one slot at a time, and the
+last slot carries one extra twist); the uniform table one might guess
+instead fails every cross-check of the integral battery.
 """
 
 from __future__ import annotations
@@ -222,8 +224,10 @@ class NodeClass:
             raise ValueError("gamma_power is 0 or 1")
         jblocks = _side([(tuple(sorted(slots)), key) for slots, key in jblocks])
         kblocks = _side([(tuple(sorted(slots)), key) for slots, key in kblocks])
-        covered = set(I)
-        for slots, _ in jblocks + kblocks:
+        covered = set()
+        # I counts like one more block, so a repeated colliding slot is
+        # refused as well
+        for slots, _ in ((I, "1"),) + jblocks + kblocks:
             for s in slots:
                 if s in covered:
                     raise ValueError(f"slot {s} used twice in node profile")
@@ -509,6 +513,49 @@ def _distributions(blocks, reducible: bool):
     return out
 
 
+# -- node profile edits -------------------------------------------------
+
+
+def _unit_fillings(m: int, I, flavor: str, gamma_power: int) -> list:
+    """Every node class on I with the other slots as unit singletons.
+
+    Split 1, the other slots laid on the sides in every way.  Built
+    with the validating constructor, because the parser's short form
+    `F(13:)` hands its colliding slots straight in.
+    """
+    others = [((s,), "1") for s in range(1, m + 1) if s not in I]
+    return [NodeClass(m, I, 1, jside, kside, flavor, gamma_power)
+            for jside, kside in _distributions(others, flavor == "reducible")]
+
+
+def _edit(node: NodeClass, side_name=None, side=(), m=None, I=None,
+          split=None, gamma_power=None) -> NodeClass:
+    """Rewrite output: node with side J or K replaced, the rest kept.
+
+    side_name ("jblocks" or "kblocks") names the side that `side`
+    replaces; m, I, split and gamma_power change only where given.
+    """
+    jblocks, kblocks = node.jblocks, node.kblocks
+    if side_name == "jblocks":
+        jblocks = side
+    elif side_name == "kblocks":
+        kblocks = side
+    return NodeClass._new(node.m if m is None else m,
+                          node.I if I is None else I,
+                          node.split if split is None else split,
+                          jblocks, kblocks, node.flavor,
+                          node.gamma_power if gamma_power is None
+                          else gamma_power)
+
+
+def _find_block(side, slots):
+    """Index of the side block holding all of slots, or None."""
+    for idx, (s, _k) in enumerate(side):
+        if set(slots) <= set(s):
+            return idx
+    return None
+
+
 # -- slot classes -------------------------------------------------------
 
 
@@ -545,42 +592,27 @@ def mul_class(gen, slot: int, cls: SurfaceClass,
             continue
         if _key_degree(key) > 1:
             continue
-        hit = False
         for side_name in ("jblocks", "kblocks"):
             side = getattr(gen, side_name)
-            for t, (slots, cur) in enumerate(side):
-                if slot not in slots:
-                    continue
-                hit = True
-                if cur != "1":
-                    break
-                new_side = list(side)
-                new_side[t] = (slots, key)
-                kwargs = {"jblocks": gen.jblocks, "kblocks": gen.kblocks}
-                kwargs[side_name] = tuple(new_side)
-                out.add(NodeClass._new(gen.m, gen.I, gen.split,
-                                       kwargs["jblocks"], kwargs["kblocks"],
-                                       gen.flavor, gen.gamma_power), coeff)
+            t = _find_block(side, (slot,))
+            if t is not None:
                 break
-            if hit:
-                break
-        if not hit:
+        else:
             raise ValueError(f"slot {slot} missing from node profile")
+        slots, cur = side[t]
+        if cur == "1":
+            new_side = list(side)
+            new_side[t] = (slots, key)
+            out.add(_edit(gen, side_name, new_side), coeff)
     return out
 
 
 # -- Gamma on node classes ----------------------------------------------
 
 
-def _mu(side: str, has_top: bool, split: int, r: int) -> int:
-    if side == "J":
-        return -(2 * split + 1) if has_top else -(2 * split - 1)
-    return -(2 * (r - split) + 1) if has_top else -(2 * (r - split) - 1)
-
-
 def _chern_exponent(side: str, has_top: bool, split: int, r: int,
                     which: str) -> int:
-    # two line-bundle factors; their exponents sum to the mu twist
+    # exponent of one line-bundle factor; the two sum to the c1 twist
     if side == "J":
         if which == "first":
             return split if has_top else split - 1
@@ -597,13 +629,9 @@ def _move_block(node: NodeClass, side_name: str, idx: int,
     slots, key = side[idx]
     if key != "1":
         return None
-    new_side = tuple(b for t, b in enumerate(side) if t != idx)
-    kwargs = {"jblocks": node.jblocks, "kblocks": node.kblocks}
-    kwargs[side_name] = new_side
     split = node.split + (len(slots) if target_side == "J" else 0)
-    return NodeClass._new(node.m, node.I + slots, split,
-                          kwargs["jblocks"], kwargs["kblocks"],
-                          node.flavor, node.gamma_power)
+    return _edit(node, side_name, side[:idx] + side[idx + 1:],
+                 I=node.I + slots, split=split)
 
 
 def _merge_side_blocks(node: NodeClass, side_name: str, ia: int, ib: int,
@@ -622,11 +650,7 @@ def _merge_side_blocks(node: NodeClass, side_name: str, ia: int, ib: int,
         return None
     new_side = [b for t, b in enumerate(side) if t not in (ia, ib)]
     new_side.append((tuple(sorted(sa + sb)), key))
-    kwargs = {"jblocks": node.jblocks, "kblocks": node.kblocks}
-    kwargs[side_name] = tuple(new_side)
-    return NodeClass._new(node.m, node.I, node.split,
-                          kwargs["jblocks"], kwargs["kblocks"],
-                          node.flavor, node.gamma_power)
+    return _edit(node, side_name, new_side)
 
 
 def _insert_omega(node: NodeClass, side_name: str, idx: int):
@@ -636,55 +660,26 @@ def _insert_omega(node: NodeClass, side_name: str, idx: int):
         return None
     new_side = list(side)
     new_side[idx] = (slots, "omega")
-    kwargs = {"jblocks": node.jblocks, "kblocks": node.kblocks}
-    kwargs[side_name] = tuple(new_side)
-    return NodeClass._new(node.m, node.I, node.split,
-                          kwargs["jblocks"], kwargs["kblocks"],
-                          node.flavor, node.gamma_power)
-
-
-def _c1_terms(node: NodeClass):
-    """First Chern data of the scroll bundle, as (coeff, move) pairs.
-
-    Moves are ("move", side_name, idx, target, element) per element of
-    each side block, ("pair", side_name, ia, ib) for cross-block joins
-    and ("omega", side_name, idx) with weight binom(|B|, 2) for
-    within-block pairs.
-    """
-    r = len(node.I)
-    split = node.split
-    terms = []
-    sides = [("jblocks", "J")]
-    if node.flavor == "reducible":
-        sides.append(("kblocks", "K"))
-        targets = {"jblocks": ["J"], "kblocks": ["K"]}
-    else:
-        # one side component, both branch approaches available
-        targets = {"jblocks": ["J", "K"]}
-    for side_name, _tag in sides:
-        side = getattr(node, side_name)
-        for idx, (slots, _key) in enumerate(side):
-            for a in slots:
-                for target in targets[side_name]:
-                    mu = _mu(target, a == node.m, split, r)
-                    terms.append((mu, ("move", side_name, idx, target, a)))
-        for ia, ib in combinations(range(len(side)), 2):
-            terms.append((-2, ("pair", side_name, ia, ib)))
-        for idx, (slots, _key) in enumerate(side):
-            if len(slots) >= 2:
-                terms.append((-2 * comb(len(slots), 2),
-                              ("omega", side_name, idx)))
-    return terms
+    return _edit(node, side_name, new_side)
 
 
 def _chern_factor(node: NodeClass, which: str):
-    """One of the two line-bundle divisors whose product is c2."""
+    """One of the two line-bundle divisors a, b of the scroll bundle.
+
+    Returns (coeff, move) pairs.  Moves are ("move", side_name, idx,
+    target, element) per element of each side block, ("pair",
+    side_name, ia, ib) for cross-block joins and ("omega", side_name,
+    idx) with weight binom(|B|, 2) for within-block pairs.  Both
+    factors list the same moves in the same order, so c1 = a + b and
+    c2 = a.b are read off the two lists side by side.
+    """
     r = len(node.I)
     split = node.split
     terms = []
     if node.flavor == "reducible":
         sides = [("jblocks", ["J"]), ("kblocks", ["K"])]
     else:
+        # one side component, both branch approaches available
         sides = [("jblocks", ["J", "K"])]
     for side_name, targets in sides:
         side = getattr(node, side_name)
@@ -716,58 +711,26 @@ def _resolve_c2(node: NodeClass, t1, t2, geo):
     c2, mv2 = t2
     coeff = _as_char(Fraction(c1 * c2))
     k1, k2 = mv1[0], mv2[0]
-    if k1 == "move" and k2 == "move":
-        if mv1[1] == mv2[1] and mv1[2] == mv2[2]:
-            return None  # a node-section class squares to zero on the base
-        first = _apply_move(node, mv1)
-        if first is None:
+    if k1 == k2 == "move" and mv1[1:3] == mv2[1:3]:
+        return None  # a node-section class squares to zero on the base
+    if k1 == k2 == "omega" and mv1 == mv2:
+        return None
+    if (k1 == k2 == "pair" and mv1[1] == mv2[1]
+            and {mv1[2], mv1[3]} == {mv2[2], mv2[3]}):
+        # the squared join contributes minus the side omega-degree
+        side_tag = "J" if mv1[1] == "jblocks" else "K"
+        pinned = _merge_side_blocks(node, mv1[1], mv1[2], mv1[3], pin=True)
+        if pinned is None:
             return None
-        second = _relocate_and_apply(first, node, mv2)
-        if second is None:
-            return None
-        return coeff, second
+        return coeff * (-geo.side_omega_degree(side_tag)), pinned
     if {k1, k2} == {"move", "pair"}:
-        mv_move = mv1 if k1 == "move" else mv2
-        mv_pair = mv1 if k1 == "pair" else mv2
-        if mv_move[1] == mv_pair[1] and mv_move[2] in (mv_pair[2], mv_pair[3]):
+        mv_move, mv_pair = (mv1, mv2) if k1 == "move" else (mv2, mv1)
+        if mv_move[1] == mv_pair[1] and mv_move[2] in mv_pair[2:]:
             # joining a pair at the node collapses to both blocks moving
             other = mv_pair[2] if mv_move[2] == mv_pair[3] else mv_pair[3]
-            first = _apply_move(node, mv_move)
-            if first is None:
-                return None
-            side = getattr(node, mv_move[1])
-            target_slots = side[other][0]
-            second = _move_named(first, mv_move[1], target_slots, mv_move[3])
-            if second is None:
-                return None
-            return coeff, second
-        first = _apply_move(node, mv_pair)
-        if first is None:
-            return None
-        side = getattr(node, mv_move[1])
-        second = _move_named(first, mv_move[1], side[mv_move[2]][0],
-                             mv_move[3])
-        if second is None:
-            return None
-        return coeff, second
-    if k1 == "pair" and k2 == "pair":
-        if mv1[1] == mv2[1] and {mv1[2], mv1[3]} == {mv2[2], mv2[3]}:
-            # the squared join contributes minus the side omega-degree
-            side_tag = "J" if mv1[1] == "jblocks" else "K"
-            pinned = _merge_side_blocks(node, mv1[1], mv1[2], mv1[3],
-                                        pin=True)
-            if pinned is None:
-                return None
-            return coeff * (-geo.side_omega_degree(side_tag)), pinned
-        first = _apply_move(node, mv1)
-        if first is None:
-            return None
-        second = _relocate_and_apply(first, node, mv2)
-        if second is None:
-            return None
-        return coeff, second
-    if k1 == "omega" and k2 == "omega" and mv1 == mv2:
-        return None
+            mv1, mv2 = mv_move, ("move", mv_move[1], other, mv_move[3])
+        else:
+            mv1, mv2 = mv_pair, mv_move
     first = _apply_move(node, mv1)
     if first is None:
         return None
@@ -777,41 +740,22 @@ def _resolve_c2(node: NodeClass, t1, t2, geo):
     return coeff, second
 
 
-def _move_named(node: NodeClass, side_name: str, slots, target):
-    side = getattr(node, side_name)
-    for idx, (s, _k) in enumerate(side):
-        if set(slots) <= set(s):
-            return _move_block(node, side_name, idx, target)
-    return None
-
-
 def _relocate_and_apply(node: NodeClass, original: NodeClass, move):
     """Re-find the blocks of a move after the profile changed."""
-    kind = move[0]
     side_name = move[1]
     orig_side = getattr(original, side_name)
-    if kind == "move":
-        slots = orig_side[move[2]][0]
-        return _move_named(node, side_name, slots, move[3])
     side = getattr(node, side_name)
-
-    def find(slots):
-        for idx, (s, _k) in enumerate(side):
-            if set(slots) <= set(s):
-                return idx
-        return None
-
-    if kind == "pair":
-        ia = find(orig_side[move[2]][0])
-        ib = find(orig_side[move[3]][0])
-        if ia is None or ib is None:
-            return None
-        if ia == ib:
-            return _insert_omega(node, side_name, ia)
-        return _merge_side_blocks(node, side_name, ia, ib)
-    idx = find(orig_side[move[2]][0])
+    idx = _find_block(side, orig_side[move[2]][0])
     if idx is None:
         return None
+    if move[0] == "move":
+        return _move_block(node, side_name, idx, move[3])
+    if move[0] == "pair":
+        ib = _find_block(side, orig_side[move[3]][0])
+        if ib is None:
+            return None
+        if ib != idx:
+            return _merge_side_blocks(node, side_name, idx, ib)
     return _insert_omega(node, side_name, idx)
 
 
@@ -820,26 +764,24 @@ def mul_gamma_node(node: NodeClass, geo: SurfaceGeometry | None = None) -> TautE
     geo = geo or default_geometry()
     out = TautExpr(node.m)
     if node.gamma_power == 0:
-        section = NodeClass._new(node.m, node.I, node.split, node.jblocks,
-                                 node.kblocks, node.flavor, 1)
-        out.add(section, Fraction(-1))
+        out.add(_edit(node, gamma_power=1), Fraction(-1))
         return out
-    # Gamma^2 . F = Gamma.(c1 F-classes) + c2 F-classes; the first
-    # factor turns each scroll into minus its section
-    for coeff, move in _c1_terms(node):
+    # Gamma^2 . F = Gamma.(c1 F-classes) + c2 F-classes, with c1 = a + b
+    # and c2 = a.b for the two factors; the first term turns each
+    # scroll into minus its section
+    scroll = _edit(node, gamma_power=0)
+    first = _chern_factor(scroll, "first")
+    second = _chern_factor(scroll, "second")
+    for (a, move), (b, _) in zip(first, second):
         moved = _apply_move(node, move)
-        if moved is None:
-            continue
-        out.add(moved, Fraction(-coeff))
-    scroll = NodeClass._new(node.m, node.I, node.split, node.jblocks,
-                            node.kblocks, node.flavor, 0)
-    for t1 in _chern_factor(scroll, "first"):
-        for t2 in _chern_factor(scroll, "second"):
+        if moved is not None:
+            out.add(moved, Fraction(-(a + b)))
+    for t1 in first:
+        for t2 in second:
             resolved = _resolve_c2(scroll, t1, t2, geo)
-            if resolved is None:
-                continue
-            coeff, gen = resolved
-            out.add(gen, coeff)
+            if resolved is not None:
+                coeff, gen = resolved
+                out.add(gen, coeff)
     return out
 
 
@@ -868,39 +810,30 @@ def pullback(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
         if isinstance(gen, DiagMonomial):
             out.add(DiagMonomial._new(m, list(gen.blocks)), coeff)
             continue
-        r = len(gen.I)
-        split = gen.split
-        completions = [("jblocks", "J")]
+        # every class gets the completions with the new slot as a unit
+        # point on each side; sections also get polarization corrections
+        completions = ["jblocks"]
         if gen.flavor == "reducible":
-            completions.append(("kblocks", "K"))
+            completions.append("kblocks")
+        for side_name in completions:
+            side = getattr(gen, side_name) + (((m,), "1"),)
+            out.add(_edit(gen, side_name, side, m=m), coeff)
         if gen.gamma_power == 0:
-            for side_name, _tag in completions:
-                kwargs = {"jblocks": gen.jblocks, "kblocks": gen.kblocks}
-                kwargs[side_name] = kwargs[side_name] + (((m,), "1"),)
-                out.add(NodeClass._new(m, gen.I, split, kwargs["jblocks"],
-                                       kwargs["kblocks"], gen.flavor, 0), coeff)
             continue
-        # sections: each completion plus its polarization corrections
-        for side_name, tag in completions:
-            kwargs = {"jblocks": gen.jblocks, "kblocks": gen.kblocks}
-            kwargs[side_name] = kwargs[side_name] + (((m,), "1"),)
-            out.add(NodeClass._new(m, gen.I, split, kwargs["jblocks"],
-                                   kwargs["kblocks"], gen.flavor, 1), coeff)
         # the new point can also run into the node along either branch
+        split = gen.split
         branch_pins = [(split + 1, Fraction(split + 1)),
-                       (split, Fraction(r - split + 1))]
+                       (split, Fraction(len(gen.I) - split + 1))]
         for new_split, weight in branch_pins:
-            out.add(NodeClass._new(m, gen.I + (m,), new_split, gen.jblocks,
-                                   gen.kblocks, gen.flavor, 0), coeff * weight)
+            out.add(_edit(gen, m=m, I=gen.I + (m,), split=new_split,
+                          gamma_power=0), coeff * weight)
         for side_name in ("jblocks", "kblocks"):
             side = getattr(gen, side_name)
             for idx, (slots, key) in enumerate(side):
                 new_side = list(side)
                 new_side[idx] = (tuple(sorted(slots + (m,))), key)
-                kwargs = {"jblocks": gen.jblocks, "kblocks": gen.kblocks}
-                kwargs[side_name] = tuple(new_side)
-                out.add(NodeClass._new(m, gen.I, split, kwargs["jblocks"],
-                                       kwargs["kblocks"], gen.flavor, 0), coeff)
+                out.add(_edit(gen, side_name, new_side, m=m, gamma_power=0),
+                        coeff)
     return out
 
 
@@ -1226,23 +1159,10 @@ def _collapsed_groups(expr: TautExpr):
              and len(g.I) == 2]
     seen_groups = set()
     for gen in nodes:
-        others = tuple(sorted(set(range(1, gen.m + 1)) - set(gen.I)))
         group_key = (gen.m, gen.I, gen.flavor, gen.gamma_power)
         if group_key in seen_groups:
             continue
-        if gen.flavor == "reducible":
-            fillings = []
-            for mask in range(1 << len(others)):
-                j = tuple(((s,), "1") for t, s in enumerate(others)
-                          if not mask >> t & 1)
-                k = tuple(((s,), "1") for t, s in enumerate(others)
-                          if mask >> t & 1)
-                fillings.append(NodeClass(gen.m, gen.I, 1, j, k,
-                                          gen.flavor, gen.gamma_power))
-        else:
-            fillings = [NodeClass(gen.m, gen.I, 1,
-                                  tuple(((s,), "1") for s in others), (),
-                                  gen.flavor, gen.gamma_power)]
+        fillings = _unit_fillings(*group_key)
         coeffs = [remaining.get(f) for f in fillings]
         if None in coeffs or any(c != coeffs[0] for c in coeffs):
             continue

@@ -281,7 +281,6 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("argv", [
         ["integrate", "-m", "3", "Delta<3>^3"],
         ["normalize", "-m", "3", "F(13:)*F(23:)"],
-        ["beta", "1"],
     ])
     def test_engine_errors(self, argv):
         code, out, err = run_cli(argv)
@@ -314,16 +313,34 @@ class TestCliExitCodes:
         (["ord-table", "-m", "40", "--seed", "3"], "level 40 above 6"),
         (["eta", "7", "1", "2"], "level 7 above 6"),
         (["eta", "1000", "1", "1"], "level 1000 above 6"),
+        (["eta", "0", "1", "1"], "level 0 below 1"),
+        (["alpha", "0"], "level 0 below 1"),
+        (["alpha", "-3"], "level -3 below 1"),
+        (["colength", "0"], "level 0 below 1"),
+        (["beta", "1"], "level 1 below 2"),
     ])
     def test_subcommand_levels_out_of_range_exit_at_once(self, argv, message,
                                                          monkeypatch):
         # refused before any oracle runs
         for name in ("check_chain", "check_syzygy", "ord_table",
-                     "eta_valuation", "chern_taut"):
+                     "eta_valuation", "chern_taut", "alpha", "beta", "j_m"):
             monkeypatch.setattr(cli, name, _never)
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("expr", ["F(11:)*Gamma<2>^2",
+                                      "F(1|1:|{2})*Gamma<2>^2"])
+    def test_repeated_colliding_slot_refused(self, expr):
+        code, out, err = run_cli(["integrate", "-m", "2", expr])
+        assert (code, out) == (2, "")
+        assert err == "error: slot 1 used twice in node profile\n"
+
+    def test_short_node_form_stays_validated(self):
+        # the short form's fillings go through the validating constructor
+        code, out, err = run_cli(["normalize", "-m", "2", "F(1:)"])
+        assert (code, out) == (2, "")
+        assert err == "error: split 1 invalid for |I| = 1\n"
 
     def test_vanished_draw_retried_in_the_cli(self):
         # at the seeds below a draw of level 4 vanishes; it is drawn again
