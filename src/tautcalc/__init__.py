@@ -1,77 +1,3 @@
 """Exact intersection calculus on relative flag-Hilbert schemes of nodal curve families."""
 
-from .charpoly import (
-    CharacterPolynomial,
-    Rational,
-    parse_rational,
-    register_character,
-    symbol,
-)
-from .schubert import BoxPartition, SchurExpr, grassmann_integral, nsec3, pieri_mul
-from .staircase import alpha, beta, beta_total, colength, j_m
-from .surface import (
-    SurfaceClass,
-    SurfaceGeometry,
-    class_mul,
-    default_geometry,
-    parse_character_config,
-)
-from .tautring import (
-    DiagMonomial,
-    DimensionError,
-    NodeClass,
-    TautExpr,
-    UnsupportedProductError,
-    chern_taut,
-    expand_monomial,
-    integrate,
-    integrate_word,
-    mul_class,
-    mul_gamma,
-    node_scroll,
-    node_section,
-    pullback,
-    pushforward,
-    render_expr,
-)
-
-__all__ = [
-    "BoxPartition",
-    "CharacterPolynomial",
-    "DiagMonomial",
-    "DimensionError",
-    "NodeClass",
-    "Rational",
-    "SchurExpr",
-    "SurfaceClass",
-    "SurfaceGeometry",
-    "TautExpr",
-    "UnsupportedProductError",
-    "alpha",
-    "beta",
-    "beta_total",
-    "chern_taut",
-    "class_mul",
-    "colength",
-    "default_geometry",
-    "expand_monomial",
-    "grassmann_integral",
-    "integrate",
-    "integrate_word",
-    "j_m",
-    "mul_class",
-    "mul_gamma",
-    "node_scroll",
-    "node_section",
-    "nsec3",
-    "parse_character_config",
-    "parse_rational",
-    "pieri_mul",
-    "pullback",
-    "pushforward",
-    "register_character",
-    "render_expr",
-    "symbol",
-]
-
 __version__ = "0.1.0"

@@ -31,10 +31,6 @@ def register_character(name: str) -> str:
     return name
 
 
-def parse_rational(text: str) -> Rational:
-    return Fraction(text.strip())
-
-
 class CharacterPolynomial:
     """Polynomial over Q in registered character symbols.
 

@@ -17,6 +17,7 @@ import argparse
 import sys
 from fractions import Fraction
 from math import comb
+from operator import attrgetter
 
 from .charpoly import CharacterPolynomial, symbol
 from .exprparse import ParseError, evaluate_integral, evaluate_normal
@@ -40,13 +41,7 @@ from .staircase import (
     printed_alpha_closed_form,
 )
 from .surface import parse_character_config
-from .tautring import (
-    DimensionError,
-    UnsupportedProductError,
-    chern_taut,
-    integrate_word,
-    render_expr,
-)
+from .tautring import chern_taut, integrate_word, render_expr
 
 __all__ = ["main"]
 
@@ -77,20 +72,6 @@ def _load_assignment(path: str | None) -> dict:
         raise _UsageError(f"cannot read character file: {exc}")
     except ValueError as exc:
         raise _UsageError(str(exc))
-
-
-def _at_least(level: int, lowest: int) -> int:
-    """Refuse a level below the lowest one a command has anything for."""
-    if level < lowest:
-        raise _UsageError(f"level {level} below {lowest}")
-    return level
-
-
-def _at_most(level: int, highest: int, reason: str) -> int:
-    """Refuse a level above the highest one a command handles."""
-    if level > highest:
-        raise _UsageError(f"level {level} above {highest}: {reason}")
-    return level
 
 
 def _finish(poly: CharacterPolynomial, assignment: dict) -> CharacterPolynomial:
@@ -125,7 +106,7 @@ def _etas_from(args):
 
 
 def cmd_alpha(args) -> int:
-    m = _at_least(args.level, 1)
+    m = args.level
     value = alpha(m)
     printed = printed_alpha_closed_form(m)
     if args.format == "kv":
@@ -139,7 +120,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    m = _at_least(args.level, 2)
+    m = args.level
     etas = _etas_from(args)
     if args.slope is not None:
         value = beta(m, args.slope, etas=etas)
@@ -151,15 +132,13 @@ def cmd_beta(args) -> int:
 
 
 def cmd_colength(args) -> int:
-    gens = [monomial_poly(c) for c in j_m(_at_least(args.level, 1))]
+    gens = [monomial_poly(c) for c in j_m(args.level)]
     _emit(args, [("colength", colength(gens))])
     return 0
 
 
 def cmd_vdm_check(args) -> int:
-    # the chain and syzygy identities start at level 2
-    top = 5 if args.level is None else _at_most(
-        _at_least(args.level, 2), 7, "a generator has m! terms")
+    top = 5 if args.level is None else args.level
     for m in range(2, top + 1):
         for i in range(1, m):
             sign = check_chain(m, i)
@@ -177,8 +156,7 @@ def cmd_vdm_check(args) -> int:
 
 
 def cmd_ord_table(args) -> int:
-    m = 4 if args.level is None else _at_most(
-        _at_least(args.level, 1), 6, "a generator has m! terms")
+    m = 4 if args.level is None else args.level
     table = ord_table(m, seed=args.seed)
     for j in range(1, m + 1):
         row = " ".join(str(table[(j, size)]) for size in range(m + 1))
@@ -193,9 +171,7 @@ def cmd_ord_table(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    m = _at_most(_at_least(args.level, 1), 6,
-                 "G_1^2 multiplies (m!)^2 term pairs")
-    i, j = args.i, args.j
+    m, i, j = args.level, args.i, args.j
     value = eta_valuation(m, i, j)
     derived = derived_eta_exponent(m, i, j)
     printed = printed_eta_exponent(m, i, j)
@@ -229,9 +205,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_chern(args) -> int:
-    m = _at_most(_at_least(args.level, 1), 9,
-                 "slot digits are read one at a time")
-    pieces = chern_taut(m)
+    pieces = chern_taut(args.level)
     _emit(args, [(f"c_{d}", render_expr(p)) for d, p in enumerate(pieces)])
     return 0
 
@@ -244,13 +218,20 @@ def _parse_factor(text: str):
     return ("row" if text[0] == "r" else "column", int(text[1:]))
 
 
-def cmd_schubert(args) -> int:
+def _factors(text: str) -> list:
+    return [_parse_factor(f) for f in text.split(",")]
+
+
+def _box(text: str) -> tuple[int, int]:
     try:
-        a, b = (int(x) for x in args.box.split(","))
+        a, b = (int(x) for x in text.split(","))
     except ValueError:
-        raise _UsageError(f"bad box {args.box!r}: use A,B")
-    factors = [_parse_factor(f) for f in args.factors.split(",")]
-    _emit(args, [("integral", grassmann_integral((a, b), factors))])
+        raise _UsageError(f"bad box {text!r}: use A,B")
+    return a, b
+
+
+def cmd_schubert(args) -> int:
+    _emit(args, [("integral", grassmann_integral(args.box, args.factors))])
     return 0
 
 
@@ -271,10 +252,6 @@ def cmd_nsec3(args) -> int:
 # -- the regression driver -------------------------------------------------
 
 
-def _sym(name):
-    return symbol(name)
-
-
 def _battery():
     """Replay of every recorded reference computation.
 
@@ -283,8 +260,8 @@ def _battery():
     frozen but disagrees with the printed one (documented discrepancy),
     FAIL on any deviation from the frozen engine value.
     """
-    sigma, omega2, omegaL = _sym("sigma"), _sym("omega2"), _sym("omegaL")
-    L2, dL = _sym("L2"), _sym("dL")
+    sigma, omega2 = symbol("sigma"), symbol("omega2")
+    omegaL, L2, dL = symbol("omegaL"), symbol("L2"), symbol("dL")
     checks = []
 
     def record(cid, ok, detail):
@@ -360,9 +337,6 @@ def _battery():
          " exponent misses the correction")
 
     # the intersection battery
-    def ival(text, m):
-        return evaluate_integral(text, m)
-
     record("nf-pair-diagonal-cube",
            render_expr(evaluate_normal("Gamma<2>^3", 2))
            == "omega2*q[{1,2}](pt) - NS(12:)",
@@ -378,50 +352,55 @@ def _battery():
               " + F(13:) + F(23:)",
            "printed normal form reproduced verbatim")
     note("int-lclass-delta2-squared",
-         all(ival(f"L({i})*Delta<2>^2", 2) == -omegaL for i in (1, 2))
-         and all(ival(f"L({i})*Delta<2>^2*Delta<3>", 3) == -2 * omegaL
-                 for i in (1, 2, 3)),
+         all(evaluate_integral(f"L({i})*Delta<2>^2", 2) == -omegaL
+             for i in (1, 2))
+         and all(evaluate_integral(f"L({i})*Delta<2>^2*Delta<3>", 3)
+                 == -2 * omegaL for i in (1, 2, 3)),
          "engine gives -omegaL (twice that at level 3); printed value"
          " is +omegaL")
     record("int-lclass-pair-delta2",
-           all(ival(f"L({i})*L({j})*Delta<2>", 2) == L2
+           all(evaluate_integral(f"L({i})*L({j})*Delta<2>", 2) == L2
                for i, j in ((1, 1), (1, 2), (2, 2)))
-           and all(ival(f"L({i})*L({j})*Delta<2>*Delta<3>", 3) == 2 * L2
-                   for i, j in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3),
-                                (3, 3))),
+           and all(evaluate_integral(f"L({i})*L({j})*Delta<2>*Delta<3>", 3)
+                   == 2 * L2 for i, j in ((1, 1), (1, 2), (2, 2), (1, 3),
+                                          (2, 3), (3, 3))),
            "L.L.Delta integrals equal L2, doubling at level 3")
     record("int-lclass-triple",
-           ival("L(1)*L(2)^2", 2) == dL * L2
-           and ival("L(1)*L(2)*L(3)*Delta<3>", 3) == 2 * dL * L2
-           and ival("L(1)*L(3)^2*Delta<3>", 3) == dL * L2
-           and ival("L(2)*L(3)^2*Delta<3>", 3) == dL * L2,
+           evaluate_integral("L(1)*L(2)^2", 2) == dL * L2
+           and evaluate_integral("L(1)*L(2)*L(3)*Delta<3>", 3)
+           == 2 * dL * L2
+           and evaluate_integral("L(1)*L(3)^2*Delta<3>", 3) == dL * L2
+           and evaluate_integral("L(2)*L(3)^2*Delta<3>", 3) == dL * L2,
            "pure L-words with one fibre direction free")
     record("int-delta2-cubed",
-           ival("Delta<2>^3", 2) == -sigma + omega2
-           and ival("Delta<2>^3*Delta<3>", 3) == 2 * (-sigma + omega2),
+           evaluate_integral("Delta<2>^3", 2) == -sigma + omega2
+           and evaluate_integral("Delta<2>^3*Delta<3>", 3)
+           == 2 * (-sigma + omega2),
            "cube of the level-2 diagonal")
     record("int-lclass3-delta3-squared",
-           all(ival(f"L(3)*L({i})*Delta<3>^2", 3) == 2 * L2 - dL * omegaL
-               for i in (1, 2))
-           and ival("L(3)^2*Delta<3>^2", 3) == 2 * L2,
+           all(evaluate_integral(f"L(3)*L({i})*Delta<3>^2", 3)
+               == 2 * L2 - dL * omegaL for i in (1, 2))
+           and evaluate_integral("L(3)^2*Delta<3>^2", 3) == 2 * L2,
            "the slot-3 polarized square")
     record("int-lclass-delta2-delta3sq",
-           all(ival(f"L({i})*Delta<2>*Delta<3>^2", 3) == -4 * omegaL
-               for i in (1, 2)),
+           all(evaluate_integral(f"L({i})*Delta<2>*Delta<3>^2", 3)
+               == -4 * omegaL for i in (1, 2)),
            "mixed divisor word gives -4 omegaL")
     record("int-delta2sq-delta3sq",
-           ival("Delta<2>^2*Delta<3>^2", 3) == -2 * sigma + 4 * omega2,
+           evaluate_integral("Delta<2>^2*Delta<3>^2", 3)
+           == -2 * sigma + 4 * omega2,
            "squares of both diagonals")
     note("int-lclass-delta3-cubed",
-         all(ival(f"L({i})*Delta<3>^3", 3)
+         all(evaluate_integral(f"L({i})*Delta<3>^3", 3)
              == -6 * omegaL - 2 * dL * sigma + dL * omega2 for i in (1, 2))
-         and ival("L(3)*Delta<3>^3", 3) == -6 * omegaL,
+         and evaluate_integral("L(3)*Delta<3>^3", 3) == -6 * omegaL,
          "engine result disagrees with the printed 2*omegaL")
     record("int-delta2-delta3-cubed",
-           ival("Delta<2>*Delta<3>^3", 3) == -6 * sigma + 8 * omega2,
+           evaluate_integral("Delta<2>*Delta<3>^3", 3)
+           == -6 * sigma + 8 * omega2,
            "one low diagonal against the top cube")
     record("int-delta3-fourth",
-           ival("Delta<3>^4", 3) == -2 * sigma + 14 * omega2,
+           evaluate_integral("Delta<3>^4", 3) == -2 * sigma + 14 * omega2,
            "fourth power of the top diagonal")
     record("small-diagonal-facts",
            integrate_word([("gamma", 3), ("gamma", 3), ("smalldiag",)], 3)
@@ -465,7 +444,7 @@ def _battery():
          " which vanishes, and (2,0,2), which does not")
     total = _nsec3_sum(terms)
     frozen = (3 * L2 * dL * dL + 6 * dL * sigma - 12 * dL * omegaL
-              - 3 * dL * omega2 - 3 * L2 * _sym("g2") - 27 * L2 * dL
+              - 3 * dL * omega2 - 3 * L2 * symbol("g2") - 27 * L2 * dL
               - 12 * sigma + 72 * omegaL + 28 * omega2 + 60 * L2)
     record("nsec3-assembly", total == frozen,
            "assembled 3!N3 matches the frozen engine polynomial")
@@ -487,6 +466,53 @@ def cmd_verify_paper(args) -> int:
 
 
 # -- wiring ----------------------------------------------------------------
+
+_LEVEL = attrgetter("level")
+_BUCHBERGER = "the Buchberger oracle takes over a second above it"
+_FACTORIAL = "a generator has m! terms"
+
+# The range of every integer argument, by subcommand: (name, value,
+# lowest, highest, reason for the ceiling).  `value` reads the argument
+# off the parsed command line and may give several integers, or None
+# for an optional level left out.  A bound of None is no bound, and
+# `highest` may be a function of the parsed arguments.  `integrate` and
+# `normalize` have no row: `exprparse.parse` checks the level of every
+# expression.
+_RANGES = {
+    "alpha": [("level", _LEVEL, 1, None, None)],
+    "beta": [("level", _LEVEL, 2, 60, _BUCHBERGER),
+             ("slope", attrgetter("slope"), 1, lambda args: args.level - 1,
+              "the slopes of level m run to m-1")],
+    "colength": [("level", _LEVEL, 1, 300, _BUCHBERGER)],
+    # the chain and syzygy identities start at level 2
+    "vdm-check": [("level", _LEVEL, 2, 7, _FACTORIAL)],
+    "ord-table": [("level", _LEVEL, 1, 6, _FACTORIAL)],
+    "eta": [("level", _LEVEL, 1, 6, "G_1^2 multiplies (m!)^2 term pairs"),
+            ("i", attrgetter("i"), 1, _LEVEL, "indices run to the level"),
+            ("j", attrgetter("j"), 1, _LEVEL, "indices run to the level")],
+    "chern": [("level", _LEVEL, 1, 9, "slot digits are read one at a time")],
+    "schubert": [
+        ("box side", attrgetter("box"), 0, None, None),
+        ("box a+b", lambda args: sum(args.box), None, 16,
+         "the Pieri fold of box 8,8 takes up to 2 s, 9,9 up to 9 s"),
+        ("factor size", lambda args: tuple(j for _, j in args.factors), 0,
+         lambda args: max(args.box), "a special class fits in the box")],
+}
+
+
+def _check_ranges(args) -> None:
+    """Refuse an integer argument outside its row of `_RANGES`."""
+    for name, value, lowest, highest, reason in _RANGES.get(args.command, ()):
+        if callable(highest):
+            highest = highest(args)
+        values = value(args)
+        for v in values if isinstance(values, tuple) else (values,):
+            if v is None:
+                continue
+            if lowest is not None and v < lowest:
+                raise _UsageError(f"{name} {v} below {lowest}")
+            if highest is not None and v > highest:
+                raise _UsageError(f"{name} {v} above {highest}: {reason}")
 
 
 def _build_parser() -> _ArgumentParser:
@@ -540,8 +566,9 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("-m", "--level", type=int, required=True)
 
     p = add("schubert", cmd_schubert, help="boxed Grassmannian integral")
-    p.add_argument("--box", required=True, help="A,B bounding box")
-    p.add_argument("--factors", required=True,
+    p.add_argument("--box", type=_box, required=True,
+                   help="A,B bounding box")
+    p.add_argument("--factors", type=_factors, required=True,
                    help="comma list of rN / cN special classes")
 
     p = add("nsec3", cmd_nsec3, help="assembled 3-node count, times 3!")
@@ -558,16 +585,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_ranges(args)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ParseError) as exc:
+        # first, because a ParseError is also a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DimensionError, UnsupportedProductError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ValuationInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

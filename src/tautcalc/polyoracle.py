@@ -374,13 +374,6 @@ def ord_table(m: int, seed: int = 0) -> dict[tuple[int, int], int]:
     return table
 
 
-def derived_ord_formula(m: int, j: int, size: int) -> int:
-    """Closed form matching the computed table: C(k'-j+1, 2) with
-    k' = m - size counting slots off the component."""
-    k = m - size
-    return (k - j) * (k - j + 1) // 2
-
-
 def printed_ord_formula(k: int, j: int) -> int:
     # reference quadratic; twice the computed order, in the complement count
     return (k - j) ** 2 + (k - j)

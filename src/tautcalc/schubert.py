@@ -10,7 +10,6 @@ line bundle from Grassmannian degrees and fibre-power integrals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .charpoly import CharacterPolynomial
 from .exprparse import evaluate_integral
@@ -131,18 +130,10 @@ def _row_strips(part: BoxPartition, j: int):
 
 
 def _column_strips(part: BoxPartition, j: int):
-    """Partitions obtained by adding a vertical strip of size j."""
-    a, b = part.box
-    lam = part.padded()
-    for bumps in product((0, 1), repeat=a):
-        if sum(bumps) != j:
-            continue
-        mu = tuple(l + e for l, e in zip(lam, bumps))
-        if any(mu[i] < mu[i + 1] for i in range(a - 1)):
-            continue
-        if mu[0] > b:
-            continue
-        yield BoxPartition(mu, part.box)
+    """Partitions obtained by adding a vertical strip of size j: the
+    conjugates of the row-strip additions to the conjugate."""
+    for mu in _row_strips(part.conjugate(), j):
+        yield mu.conjugate()
 
 
 def pieri_mul(e: SchurExpr, special) -> SchurExpr:

@@ -57,8 +57,12 @@ def j_m(m: int) -> tuple[Mono, ...]:
 
 
 def alpha(m: int) -> int:
-    """Colength of the basic ideal, via the rectangle decomposition."""
-    return sum(i * comb(m + 1 - i, 2) for i in range(1, m))
+    """Colength of the basic ideal, for m >= 0.
+
+    The rectangle decomposition gives sum(i * C(m+1-i, 2), i < m), which
+    is C(m+2, 4) by Chu-Vandermonde.
+    """
+    return comb(m + 2, 4)
 
 
 def printed_alpha_closed_form(m: int) -> int:
@@ -238,54 +242,3 @@ def beta(m: int, j: int | None = None, etas=(Fraction(1), Fraction(2))):
             raise ValueError(f"slope index {j} out of range for level {m}")
         return _beta_cached(m, j, etas)
     return tuple(_beta_cached(m, jj, etas) for jj in range(1, m))
-
-
-def beta_total(m: int, etas=(Fraction(1), Fraction(2))) -> int:
-    return sum(beta(m, etas=etas))
-
-
-# -- reference-text diagnostics ---------------------------------------
-
-
-def printed_polygon_region(m: int, j: int):
-    """Area of the literal polygon-union construction for beta(m, j).
-
-    Returns (area, agrees) where agrees compares against the colength
-    value.  The construction reads: take the staircase region, its
-    translate by (-j, m+1-j), and the half plane y >= j; the area of
-    the complement should be the weight.  It matches only for j = 1.
-    """
-    base = j_m(m)
-    quadrants = set(base)
-    for gx, gy in base:
-        quadrants.add((max(gx - j, 0), gy + m + 1 - j))
-    quadrants.add((0, j))
-    corners = minimalize(quadrants)
-    if not any(b == 0 for _, b in corners) or not any(a == 0 for a, _ in corners):
-        raise InfiniteColengthError(f"unbounded complement for ({m}, {j})")
-    height = min(b for a, b in corners if a == 0)
-    area = sum(min(a for a, bb in corners if bb <= b) for b in range(height))
-    return area, area == beta(m, j)
-
-
-def printed_elimination_count(m: int, i: int) -> int:
-    """Size of the cobasis produced by the literal elimination recipe.
-
-    Start from the standard monomials of the basic ideal, drop all
-    monomials with y-exponent >= i, then for every j with C(j,2) >= i
-    drop multiples of x^(C(m+1-j,2)+m+1-i) * y^(C(j,2)-i).  Undercounts
-    the true eliminations, e.g. it keeps x^2 at (m, i) = (3, 2).
-    """
-    corners = j_m(m)
-    height = max(b for _, b in corners)
-    standard = [
-        (a, b)
-        for b in range(height)
-        for a in range(min(x for x, y in corners if y <= b))
-    ]
-    kept = [(a, b) for a, b in standard if b < i]
-    for j in range(1, m + 1):
-        if comb(j, 2) >= i:
-            bound = (comb(m + 1 - j, 2) + m + 1 - i, comb(j, 2) - i)
-            kept = [p for p in kept if not _divides(bound, p)]
-    return len(kept)

@@ -184,12 +184,6 @@ class SurfaceGeometry:
             for side, value in side_degrees.items():
                 self.side_degrees[side] = _as_poly(value)
 
-    def add_divisor(self, name: str, pairings: dict, fibre_degree) -> None:
-        """Register an extra divisor symbol with its pairing row."""
-        for other, value in pairings.items():
-            self.pairing[tuple(sorted((name, other)))] = _as_poly(value)
-        self.fibre_degrees[name] = _as_poly(fibre_degree)
-
     def pair(self, a: str, b: str) -> CharacterPolynomial:
         key = tuple(sorted((a, b)))
         if key not in self.pairing:

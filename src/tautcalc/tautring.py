@@ -52,14 +52,12 @@ __all__ = [
     "mul_class",
     "pullback",
     "pushforward",
-    "dimension",
     "integrate",
     "expand_monomial",
     "integrate_word",
     "chern_taut",
     "unit",
     "node_scroll",
-    "node_section",
 ]
 
 
@@ -401,11 +399,6 @@ def unit(m: int) -> TautExpr:
 
 def node_scroll(m, I, split, jblocks=(), kblocks=(), flavor="reducible"):
     return TautExpr(m, {NodeClass(m, I, split, jblocks, kblocks, flavor, 0):
-                        CharacterPolynomial.one()})
-
-
-def node_section(m, I, split, jblocks=(), kblocks=(), flavor="reducible"):
-    return TautExpr(m, {NodeClass(m, I, split, jblocks, kblocks, flavor, 1):
                         CharacterPolynomial.one()})
 
 
@@ -875,12 +868,6 @@ def _fibre_deg(key, geo):
     if key not in geo.fibre_degrees:
         raise KeyError(f"no fibre degree registered for divisor {key!r}")
     return geo.fibre_degrees[key]
-
-
-def dimension(gen) -> int:
-    if isinstance(gen, DiagMonomial):
-        return gen.m + 1 - gen.codim()
-    return gen.dim()
 
 
 def integrate(expr: TautExpr, geo: SurfaceGeometry | None = None) -> CharacterPolynomial:

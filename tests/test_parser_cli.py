@@ -142,8 +142,9 @@ class TestCliValues:
         # refused even though the weights already rule out the box
         code, out, err = run_cli(["schubert", "--box", "2,4",
                                   "--factors", "r9"])
-        assert (code, out) == (2, "")
-        assert err == "error: special class size 9 outside box (2, 4)\n"
+        assert (code, out) == (1, "")
+        assert err == ("error: factor size 9 above 4: a special class fits"
+                       " in the box\n")
 
     def test_ord_table(self):
         code, out, _ = run_cli(["ord-table", "-m", "3"])
@@ -314,16 +315,34 @@ class TestCliExitCodes:
         (["eta", "7", "1", "2"], "level 7 above 6"),
         (["eta", "1000", "1", "1"], "level 1000 above 6"),
         (["eta", "0", "1", "1"], "level 0 below 1"),
+        (["eta", "2", "0", "1"], "i 0 below 1"),
+        (["eta", "2", "3", "1"], "i 3 above 2: indices run to the level"),
+        (["eta", "3", "1", "0"], "j 0 below 1"),
+        (["eta", "3", "2", "4"], "j 4 above 3: indices run to the level"),
         (["alpha", "0"], "level 0 below 1"),
         (["alpha", "-3"], "level -3 below 1"),
         (["colength", "0"], "level 0 below 1"),
+        (["colength", "301"], "level 301 above 300: the Buchberger"),
         (["beta", "1"], "level 1 below 2"),
+        (["beta", "61"], "level 61 above 60: the Buchberger"),
+        (["beta", "6", "-j", "0"], "slope 0 below 1"),
+        (["beta", "6", "-j", "6"], "slope 6 above 5: the slopes of level m"),
+        (["beta", "6", "-j", "9"], "slope 9 above 5"),
+        (["schubert", "--box=-1,4", "--factors", "r1"], "box side -1 below 0"),
+        (["schubert", "--box=3,-2", "--factors", "c1"], "box side -2 below 0"),
+        (["schubert", "--box", "8,9", "--factors", "r1"],
+         "box a+b 17 above 16: the Pieri fold"),
+        (["schubert", "--box", "2000,2", "--factors", "r1"],
+         "box a+b 2002 above 16"),
+        (["schubert", "--box", "2,4", "--factors", "r2,c5"],
+         "factor size 5 above 4: a special class fits in the box"),
     ])
     def test_subcommand_levels_out_of_range_exit_at_once(self, argv, message,
                                                          monkeypatch):
         # refused before any oracle runs
         for name in ("check_chain", "check_syzygy", "ord_table",
-                     "eta_valuation", "chern_taut", "alpha", "beta", "j_m"):
+                     "eta_valuation", "chern_taut", "alpha", "beta", "j_m",
+                     "colength", "grassmann_integral"):
             monkeypatch.setattr(cli, name, _never)
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")

@@ -14,7 +14,6 @@ from tautcalc.polyoracle import (
     check_chain,
     check_syzygy,
     derived_eta_exponent,
-    derived_ord_formula,
     elementary_symmetric,
     eta_valuation,
     ord_table,
@@ -22,6 +21,13 @@ from tautcalc.polyoracle import (
     printed_ord_formula,
     vdm_det,
 )
+
+
+def derived_ord_formula(m: int, j: int, size: int) -> int:
+    """Closed form matching the computed table: C(k'-j+1, 2) with
+    k' = m - size counting slots off the component."""
+    k = m - size
+    return (k - j) * (k - j + 1) // 2
 
 
 def x(m, i):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -10,6 +11,7 @@ from tautcalc.schubert import (
     NSEC3_TUPLES,
     BoxPartition,
     SchurExpr,
+    _column_strips,
     grassmann_integral,
     nsec3,
     nsec3_terms,
@@ -22,6 +24,27 @@ omegaL = symbol("omegaL")
 L2 = symbol("L2")
 dL = symbol("dL")
 g2 = symbol("g2")
+
+
+def column_strips_by_bumps(part: BoxPartition, j: int):
+    """Vertical strips of size j, found by walking every 0/1 vector of
+    row bumps: the reference enumerator for `_column_strips`."""
+    a, b = part.box
+    lam = part.padded()
+    for bumps in product((0, 1), repeat=a):
+        if sum(bumps) != j:
+            continue
+        mu = tuple(l + e for l, e in zip(lam, bumps))
+        if any(mu[i] < mu[i + 1] for i in range(a - 1)):
+            continue
+        if mu[0] > b:
+            continue
+        yield BoxPartition(mu, part.box)
+
+
+def box_partitions(a: int, b: int):
+    for rows in combinations_with_replacement(range(b, -1, -1), a):
+        yield BoxPartition(rows, (a, b))
 
 
 class TestBoxPartition:
@@ -55,6 +78,20 @@ class TestPieri:
             BoxPartition((3, 3), (2, 4)): Fraction(1),
         })
         assert got == want
+
+    def test_column_strips_match_the_bump_vectors(self):
+        # every partition in every box up to 6 x 6, every strip size that
+        # pieri_mul passes on (it answers size 0 itself)
+        cases = 0
+        for a, b in product(range(7), repeat=2):
+            for part in box_partitions(a, b):
+                for j in range(1, max(a, b) + 1):
+                    got = sorted(p.rows for p in _column_strips(part, j))
+                    want = sorted(p.rows
+                                  for p in column_strips_by_bumps(part, j))
+                    assert got == want, (part, j)
+                    cases += 1
+        assert cases == 19318
 
     def test_size_zero_is_identity(self):
         e = SchurExpr((2, 4), {BoxPartition((2, 1), (2, 4)): Fraction(5)})

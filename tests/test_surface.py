@@ -96,11 +96,10 @@ def test_pure_degree_and_basis_terms():
 
 
 def test_user_divisor():
-    geo = SurfaceGeometry()
-    geo.add_divisor(
-        "E",
-        {"E": CharacterPolynomial.constant(-1), "omega": 1, "L": 0, "f": 0},
-        fibre_degree=0,
+    geo = SurfaceGeometry(
+        pairing={("E", "E"): CharacterPolynomial.constant(-1),
+                 ("E", "omega"): 1, ("E", "L"): 0, ("E", "f"): 0},
+        fibre_degrees={"E": 0},
     )
     e = SurfaceClass.divisor("E")
     assert class_mul(e, e, geo).deg2 == CharacterPolynomial.constant(-1)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -653,3 +657,16 @@ class TestRuleHygiene:
     def test_node_scroll_builder(self):
         built = node_scroll(3, (1, 3), 1, jblocks=(((2,), "1"),))
         assert built == expr(3, [(F(3, (1, 3), 1, j=(((2,), "1"),)), one)])
+
+
+def test_importing_the_engine_loads_no_oracle_or_parser():
+    # the package re-exports nothing, so the engine loads only its own
+    # imports; a fresh interpreter shows what one import brings in
+    code = ("import sys, tautcalc.tautring; print(' '.join(sorted("
+            "n for n in sys.modules if n.startswith('tautcalc'))))")
+    src = str(Path(tautring.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["tautcalc", "tautcalc.charpoly",
+                                  "tautcalc.surface", "tautcalc.tautring"]
