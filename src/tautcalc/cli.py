@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import comb
 from operator import attrgetter
 
+from . import shares_work
 from .charpoly import CharacterPolynomial, symbol
 from .exprparse import ParseError, evaluate_integral, evaluate_normal
 from .polyoracle import (
@@ -479,7 +480,8 @@ _FACTORIAL = "a generator has m! terms"
 # `normalize` have no row: `exprparse.parse` checks the level of every
 # expression.
 _RANGES = {
-    "alpha": [("level", _LEVEL, 1, None, None)],
+    "alpha": [("level", _LEVEL, 1, 10**1000,
+               "the answer would pass Python's 4300-digit print limit")],
     "beta": [("level", _LEVEL, 2, 60, _BUCHBERGER),
              ("slope", attrgetter("slope"), 1, lambda args: args.level - 1,
               "the slopes of level m run to m-1")],
@@ -490,7 +492,9 @@ _RANGES = {
     "eta": [("level", _LEVEL, 1, 6, "G_1^2 multiplies (m!)^2 term pairs"),
             ("i", attrgetter("i"), 1, _LEVEL, "indices run to the level"),
             ("j", attrgetter("j"), 1, _LEVEL, "indices run to the level")],
-    "chern": [("level", _LEVEL, 1, 9, "slot digits are read one at a time")],
+    "chern": [("level", _LEVEL, 1, 5,
+               "from level 6 the engine fails with side block key 'pt'"
+               " has degree > 1")],
     "schubert": [
         ("box side", attrgetter("box"), 0, None, None),
         ("box a+b", lambda args: sum(args.box), None, 16,
@@ -586,7 +590,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_ranges(args)
-        return args.func(args)
+        # one command shares its work, e.g. the battery's integrals
+        return shares_work(args.func)(args)
     except (_UsageError, ParseError) as exc:
         # first, because a ParseError is also a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,11 @@ arc restriction multiplies every term by the same nonzero product of
 powers of its constants, which makes every power of a constant a
 non-negative int power; a common nonzero factor cannot change which
 t-powers cancel, so the valuation is the same as over Q.
+
+Inside a shared-work scope (`tautcalc.shares_work`, opened by every
+`taut-calc` command) each generator G_i, and G_1^2, is built once.  This
+module opens no scope itself: called directly, every function builds
+its generators afresh.
 """
 from __future__ import annotations
 
@@ -26,6 +31,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from operator import add
+
+from . import shared_table
 
 Coeff = int | Fraction
 
@@ -208,6 +215,15 @@ def vdm_det(m: int, i: int) -> QuotPoly:
     return QuotPoly._from_normal(m, det)
 
 
+def _generator(m: int, i: int) -> QuotPoly:
+    """vdm_det(m, i), built once per shared-work scope."""
+    table = shared_table("vdm")
+    g = table.get((m, i))
+    if g is None:
+        g = table[(m, i)] = vdm_det(m, i)
+    return g
+
+
 def elementary_symmetric(m: int, k: int, variable: str) -> QuotPoly:
     """e_k in the x- or y-variables at level m."""
     if not 0 <= k <= m:
@@ -240,8 +256,8 @@ def check_chain(m: int, i: int) -> int:
     """Verify t^(m-i) * G_(i+1) = +- e_m(y) * G_i; returns the sign."""
     if not 1 <= i <= m - 1:
         raise ValueError(f"chain index {i} out of range for level {m}")
-    lhs = _t_power(m, m - i) * vdm_det(m, i + 1)
-    rhs = elementary_symmetric(m, m, "y") * vdm_det(m, i)
+    lhs = _t_power(m, m - i) * _generator(m, i + 1)
+    rhs = elementary_symmetric(m, m, "y") * _generator(m, i)
     return _match_up_to_sign(lhs, rhs)
 
 
@@ -263,14 +279,14 @@ def check_syzygy(m: int, i: int, j: int, kind: str = "lower") -> int:
     if kind == "lower":
         if not (1 <= i <= m - 1 and 0 <= j <= m - 1):
             raise ValueError(f"syzygy indices ({i}, {j}) out of range")
-        left = elementary_symmetric(m, m - j, "y") * vdm_det(m, i)
-        right = elementary_symmetric(m, j, "x") * vdm_det(m, i + 1)
+        left = elementary_symmetric(m, m - j, "y") * _generator(m, i)
+        right = elementary_symmetric(m, j, "x") * _generator(m, i + 1)
         e = m - j - i
     elif kind == "raise":
         if not (2 <= i <= m and 0 <= j <= m - 1):
             raise ValueError(f"syzygy indices ({i}, {j}) out of range")
-        left = elementary_symmetric(m, m - j, "x") * vdm_det(m, i)
-        right = elementary_symmetric(m, j, "y") * vdm_det(m, i - 1)
+        left = elementary_symmetric(m, m - j, "x") * _generator(m, i)
+        right = elementary_symmetric(m, j, "y") * _generator(m, i - 1)
         e = i - j - 1
     else:
         raise ValueError(f"unknown syzygy kind {kind!r}")
@@ -296,7 +312,7 @@ def arc_valuation(m: int, j: int, component, seed: int = 0) -> int:
     I = frozenset(component)
     if not I <= set(range(1, m + 1)):
         raise ValueError(f"component {sorted(I)} not within [1, {m}]")
-    g = vdm_det(m, j)
+    g = _generator(m, j)
     attempts = []
     for attempt in range(5):
         vals = []
@@ -380,12 +396,26 @@ def printed_ord_formula(k: int, j: int) -> int:
 
 
 def eta_valuation(m: int, i: int, j: int) -> int:
-    """t-adic valuation of e_m(y)^(i+j-2) * G_1^2."""
+    """t-adic valuation of e_m(y)^(i+j-2) * G_1^2.
+
+    e_m(y)^k is the single monomial (y_1...y_m)^k.  Times a reduced
+    monomial x^a y^b t^e it reduces to t-exponent e + sum_l min(a_l, k),
+    since b_l = 0 wherever a_l > 0.  Multiplying by a monomial sends
+    distinct reduced monomials to distinct ones (x^a y^b t^e has the
+    exponent vector (a - b, |b| + e) in Z^(m+1), and the product adds
+    vectors), so no term cancels: the valuation is the least of these
+    exponents over the terms of G_1^2.
+    """
     if not (1 <= i <= m and 1 <= j <= m):
         raise ValueError(f"indices ({i}, {j}) out of range for level {m}")
-    g1 = vdm_det(m, 1)
-    p = elementary_symmetric(m, m, "y") ** (i + j - 2) * g1 * g1
-    return p.min_t_exponent()
+    squares = shared_table("G_1^2")
+    g1_squared = squares.get(m)
+    if g1_squared is None:
+        g1 = _generator(m, 1)
+        g1_squared = squares[m] = g1 * g1
+    k = i + j - 2
+    return min(mono[2 * m] + sum(a if a < k else k for a in mono[:m])
+               for mono in g1_squared.terms)
 
 
 def derived_eta_exponent(m: int, i: int, j: int) -> int:

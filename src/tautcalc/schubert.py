@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import shares_work
 from .charpoly import CharacterPolynomial
 from .exprparse import evaluate_integral
 from .surface import SurfaceGeometry, default_geometry
@@ -187,6 +188,7 @@ def _w_integral(j1: int, j2: int, j3: int,
         f"L(1)^{j1}*(L(2)-Delta<2>)^{j2}*(L(3)-Delta<3>)^{j3}", 3, geo)
 
 
+@shares_work
 def nsec3_terms(geo: SurfaceGeometry | None = None):
     """Per-tuple (Grassmannian degree, fibre-power integral) breakdown."""
     geo = geo or default_geometry()

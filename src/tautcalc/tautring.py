@@ -29,6 +29,14 @@ coefficients distinguish the top slot m of the level from the other
 slots (the tower is built by adjoining one slot at a time, and the
 last slot carries one extra twist); the uniform table one might guess
 instead fails every cross-check of the integral battery.
+
+Work is shared within one call or one command, never across them.  The
+word evaluators behind `integrate_word` and `expand_monomial`, and
+`chern_taut`, open a scope when none is open (`tautcalc.shares_work`);
+`taut-calc` opens one around each command.  While it is open, `mul_gamma`
+looks up a generator's Gamma image, and the up pass a generator's image
+under a slot class, before computing it.  The scope closes with the call
+that opened it; with none open every function computes afresh.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
+from . import shared_table, shares_work
 from .charpoly import CharacterPolynomial
 from .surface import FIBRE, SurfaceClass, SurfaceGeometry, default_geometry
 
@@ -261,9 +270,6 @@ class NodeClass:
         self._codim = m + 1 - dim
         self._key = (m, I, split, jblocks, kblocks, flavor, gamma_power)
         self._hash = hash(("node",) + self._key)
-
-    def dim(self) -> int:
-        return self.m + 1 - self._codim
 
     def codim(self) -> int:
         return self._codim
@@ -780,12 +786,16 @@ def mul_gamma_node(node: NodeClass, geo: SurfaceGeometry | None = None) -> TautE
 
 def mul_gamma(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
     geo = geo or default_geometry()
+    images = shared_table("gamma", geo)
     out = TautExpr(expr.m)
     for gen, coeff in expr.terms.items():
-        if isinstance(gen, DiagMonomial):
-            piece = mul_gamma_diag(gen, geo)
-        else:
-            piece = mul_gamma_node(gen, geo)
+        piece = images.get(gen)
+        if piece is None:
+            if isinstance(gen, DiagMonomial):
+                piece = mul_gamma_diag(gen, geo)
+            else:
+                piece = mul_gamma_node(gen, geo)
+            images[gen] = piece
         for g2, c2 in piece.terms.items():
             out.add(g2, coeff * c2)
     return out
@@ -961,8 +971,8 @@ def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
     """Up pass: from the seed's level, or the lowest Gamma, up to level m.
 
     The Gammas at each level are applied before pulling back; Gammas
-    below a seed's level are left for the down pass.  The slot classes
-    are multiplied in at the top.
+    below a seed's level are left for the down pass.  The slot classes,
+    (slot, rendered class, class) triples, are multiplied in at the top.
     """
     start = seed.m if seed is not None else min(levels, default=m)
     expr = seed if seed is not None else unit(start)
@@ -971,10 +981,15 @@ def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
             expr = mul_gamma(expr, geo)
         if k < m:
             expr = pullback(expr, geo)
-    for _kind, slot, cls in classes:
+    images = shared_table("class", geo)
+    for slot, text, cls in classes:
         nxt = TautExpr(m)
         for gen, c in expr.terms.items():
-            for g2, c2 in mul_class(gen, slot, cls, geo).terms.items():
+            key = (gen, slot, text)
+            piece = images.get(key)
+            if piece is None:
+                piece = images[key] = mul_class(gen, slot, cls, geo)
+            for g2, c2 in piece.terms.items():
                 nxt.add(g2, c * c2)
         expr = nxt
     return expr
@@ -1016,16 +1031,20 @@ def _word_codim(factors, m: int):
     return codim + gammas + sum(cls.pure_degree() for cls in classes)
 
 
-def _merge_words(words, m: int, integral: bool) -> dict:
+def _merge_words(words, m: int, integral: bool) -> list:
     """Expand every (coefficient, factors) word and merge the pieces.
 
-    Returns {(Gamma levels, classes, seed): coefficient} with the zero
-    coefficients dropped.  Each word is checked on its own, in input
-    order, with the checks of an integral or of a normal form; its
-    codimension is checked before it is expanded, so a huge power is
-    refused at once.  The merge lives for one call only.
+    Returns (Gamma levels, classes, seed, coefficient) per distinct
+    piece, with the zero coefficients dropped; classes are (slot,
+    rendered class, class) triples.  Each word is checked on its own,
+    in input order, with the checks of an integral or of a normal form;
+    its codimension is checked before it is expanded, so a huge power
+    is refused at once.  The merge lives for one call only.
     """
     merged = {}
+    # a class is keyed by its slot and rendering, rendered once per
+    # word: a SurfaceClass hash rebuilds a frozenset on every call
+    found = {}
     for coeff, factors in words:
         codim = _word_codim(factors, m)
         if codim is None:
@@ -1048,13 +1067,18 @@ def _merge_words(words, m: int, integral: bool) -> dict:
             raise UnsupportedProductError(
                 "gamma factors below the seeded level need the integral pipeline")
         # slot classes commute, so sorting lets reordered words share a key
-        classes = tuple(sorted(classes, key=lambda f: (f[1], f[2].render())))
+        classes = sorted(((f[1], f[2].render(), f[2]) for f in classes),
+                         key=lambda c: c[:2])
+        class_key = tuple(c[:2] for c in classes)
+        found.setdefault(class_key, classes)
         for levels, c in expanded.items():
-            key = (levels, classes, seed)
+            key = (levels, class_key, seed)
             merged[key] = merged.get(key, 0) + coeff * c
-    return {key: c for key, c in merged.items() if c}
+    return [(levels, found[class_key], seed, c)
+            for (levels, class_key, seed), c in merged.items() if c]
 
 
+@shares_work
 def _integrate_words(words, m: int, geo) -> CharacterPolynomial:
     """Integral over W^m of a sum of (coefficient, factors) words.
 
@@ -1062,7 +1086,7 @@ def _integrate_words(words, m: int, geo) -> CharacterPolynomial:
     down, with the Gammas below a seed's level applied on the way down.
     """
     total = CharacterPolynomial.zero()
-    for (levels, classes, seed), coeff in _merge_words(words, m, True).items():
+    for levels, classes, seed, coeff in _merge_words(words, m, True):
         expr = _eval_up(levels, classes, seed, m, geo)
         lower = [k for k in levels if seed is not None and k < seed.m]
         value = _push_down(expr, lower, geo) if lower else integrate(expr, geo)
@@ -1070,10 +1094,11 @@ def _integrate_words(words, m: int, geo) -> CharacterPolynomial:
     return total
 
 
+@shares_work
 def _normal_words(words, m: int, geo) -> TautExpr:
     """Normal form at level m of a sum of (coefficient, factors) words."""
     out = TautExpr(m)
-    for (levels, classes, seed), coeff in _merge_words(words, m, False).items():
+    for levels, classes, seed, coeff in _merge_words(words, m, False):
         for gen, c in _eval_up(levels, classes, seed, m, geo).terms.items():
             out.add(gen, c * coeff)
     return out
@@ -1111,6 +1136,7 @@ def integrate_word(factors, m: int, geo: SurfaceGeometry | None = None,
                             geo or default_geometry())
 
 
+@shares_work
 def chern_taut(m: int, geo: SurfaceGeometry | None = None,
                lsymbol: SurfaceClass | None = None) -> list:
     """Graded pieces of prod_i (1 + L^(i) - Delta^(i))."""

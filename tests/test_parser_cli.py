@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+from math import comb
 
 import pytest
 
@@ -307,8 +308,9 @@ class TestCliExitCodes:
         (["ord-table", "-m", "-2"], "level -2 below 1"),
         (["chern", "-m", "0"], "level 0 below 1"),
         (["chern", "-m", "-1"], "level -1 below 1"),
-        (["chern", "-m", "10"], "level 10 above 9"),
-        (["chern", "-m", "12"], "level 12 above 9"),
+        (["chern", "-m", "6"], "level 6 above 5: from level 6 the engine"
+         " fails with side block key 'pt' has degree > 1"),
+        (["chern", "-m", "10"], "level 10 above 5"),
         (["vdm-check", "-m", "8"], "level 8 above 7"),
         (["ord-table", "-m", "7"], "level 7 above 6"),
         (["ord-table", "-m", "40", "--seed", "3"], "level 40 above 6"),
@@ -321,6 +323,8 @@ class TestCliExitCodes:
         (["eta", "3", "2", "4"], "j 4 above 3: indices run to the level"),
         (["alpha", "0"], "level 0 below 1"),
         (["alpha", "-3"], "level -3 below 1"),
+        (["alpha", str(10**1000 + 1)], f"level {10**1000 + 1} above"
+         f" {10**1000}: the answer would pass Python's 4300-digit print limit"),
         (["colength", "0"], "level 0 below 1"),
         (["colength", "301"], "level 301 above 300: the Buchberger"),
         (["beta", "1"], "level 1 below 2"),
@@ -389,6 +393,11 @@ class TestCliExitCodes:
                                   "syzygy raise m=2 i=2 j=1 sign=-1 OK\n")
         code, out, _ = run_cli(["chern", "-m", "1"])
         assert (code, out) == (0, "c_0 = 1\nc_1 = q[{1}](L)\nc_2 = 0\n")
+
+    def test_highest_alpha_level_prints(self):
+        code, out, err = run_cli(["alpha", str(10**1000)])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == str(comb(10**1000 + 2, 4))
 
     def test_cancelling_sum_integrates_to_zero(self):
         code, out, err = run_cli(["integrate", "-m", "4",

@@ -243,6 +243,16 @@ def test_eta_valuation():
                 assert eta_valuation(m, i, j) == expected
 
 
+def test_eta_valuation_reads_the_product_off_g1_squared():
+    # the product itself is the reference for the exponent read-off
+    for m in (1, 2, 3, 4, 5):
+        g1 = vdm_det(m, 1)
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                product = elementary_symmetric(m, m, "y") ** (i + j - 2) * g1 * g1
+                assert eta_valuation(m, i, j) == product.min_t_exponent()
+
+
 def test_eta_valuation_extreme_pair():
     # slot supports of the two factors must overlap, forcing one
     # reduction: x1^2 y3^2 t^4 realizes the minimum

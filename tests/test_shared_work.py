@@ -1,0 +1,133 @@
+"""Work shared within one call or one command, never across them.
+
+A scope opened by a library entry point or by `cli.main` holds the
+Gamma images, the class images and the Vandermonde generators computed
+inside it, and closes when that call returns.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from collections import Counter
+
+import pytest
+
+import tautcalc
+from tautcalc import cli, polyoracle, tautring
+from tautcalc.exprparse import evaluate_integral, evaluate_normal
+from tautcalc.schubert import nsec3_terms
+from tautcalc.surface import SurfaceGeometry
+from test_golden import DATA, cases, line
+
+
+def _run_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Count the Gamma images and generators actually computed."""
+    counts = Counter()
+
+    def counting(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key(*args)] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("mul_gamma_diag", "mul_gamma_node"):
+        counting(tautring, name, lambda gen, geo: ("gamma", gen, geo))
+    counting(polyoracle, "vdm_det", lambda m, i: ("vdm", m, i))
+    return counts
+
+
+@pytest.mark.parametrize("argv, kind", [(["verify-paper"], "gamma"),
+                                        (["verify-paper"], "vdm"),
+                                        (["vdm-check"], "vdm"),
+                                        (["nsec3"], "gamma"),
+                                        (["chern", "-m", "3"], "gamma")])
+def test_one_command_computes_each_image_once(argv, kind, computed):
+    assert _run_cli(argv) == 0
+    mine = {key: n for key, n in computed.items() if key[0] == kind}
+    assert mine and set(mine.values()) == {1}
+
+
+def test_scope_is_unset_after_every_public_call(monkeypatch):
+    opened = []
+    original = tautring.mul_gamma_diag
+
+    def probe(*args):
+        opened.append(tautcalc._SHARED.get() is not None)
+        return original(*args)
+
+    monkeypatch.setattr(tautring, "mul_gamma_diag", probe)
+    calls = [
+        lambda: evaluate_integral("Delta<3>^4", 3),
+        lambda: evaluate_normal("Delta<3>^2", 3),
+        lambda: tautring.integrate_word([("gamma", 2)] * 3, 2),
+        lambda: tautring.expand_monomial([("gamma", 3)], 3),
+        lambda: tautring.chern_taut(2),
+        nsec3_terms,
+        lambda: _run_cli(["integrate", "-m", "3", "Delta<3>^4"]),
+        lambda: _run_cli(["integrate", "-m", "3", "Delta<3>^3"]),
+    ]
+    for call in calls:
+        call()
+        assert tautcalc._SHARED.get() is None
+    with pytest.raises(tautring.DimensionError):
+        tautring.integrate_word([("gamma", 2)] * 2, 2)
+    assert tautcalc._SHARED.get() is None
+    assert opened and all(opened)
+
+
+def test_direct_calls_share_nothing(computed):
+    # no scope open: each call computes afresh
+    first, second = polyoracle.vdm_det(3, 2), polyoracle.vdm_det(3, 2)
+    assert first == second and first is not second
+    assert computed[("vdm", 3, 2)] == 2
+    for _ in range(2):
+        polyoracle.check_chain(3, 2)
+        polyoracle.eta_valuation(3, 1, 2)
+    assert computed[("vdm", 3, 2)] == 4
+    assert computed[("vdm", 3, 3)] == 2
+    assert computed[("vdm", 3, 1)] == 2
+    expr = tautring.unit(2)
+    tautring.mul_gamma(expr)
+    tautring.mul_gamma(expr)
+    assert set(n for key, n in computed.items() if key[0] == "gamma") == {2}
+
+
+def test_commands_share_nothing(computed):
+    for _ in range(2):
+        assert _run_cli(["vdm-check", "-m", "3"]) == 0
+    assert set(n for key, n in computed.items() if key[0] == "vdm") == {2}
+
+
+def test_golden_renders_twice_in_one_scope():
+    """No shared piece is mutated or handed out: a second pass over the
+    golden set, reading every image from the table, renders the same."""
+    want = DATA.read_text(encoding="utf-8").splitlines()
+
+    @tautcalc.shares_work
+    def both_passes():
+        return [[line(*case) for case in cases()] for _ in range(2)]
+
+    for got in both_passes():
+        assert got == want
+
+
+def test_each_geometry_gets_its_own_images_in_one_scope():
+    other = SurfaceGeometry(pairing={("L", "L"): 5, ("L", "omega"): 7})
+    word = "L(1)*L(2)*Delta<2>*Delta<3>"
+
+    @tautcalc.shares_work
+    def both():
+        return [(evaluate_integral(word, 3).render(),
+                 evaluate_integral(word, 3, other).render())
+                for _ in range(2)]
+
+    assert both() == [("2*L2", "10")] * 2
