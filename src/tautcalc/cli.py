@@ -514,9 +514,20 @@ def _check_ranges(args) -> None:
             if v is None:
                 continue
             if lowest is not None and v < lowest:
-                raise _UsageError(f"{name} {v} below {lowest}")
+                raise _UsageError(f"{_shown(v, name, True)} below"
+                                  f" {_shown(lowest, 'bound')}")
             if highest is not None and v > highest:
-                raise _UsageError(f"{name} {v} above {highest}: {reason}")
+                raise _UsageError(f"{_shown(v, name, True)} above"
+                                  f" {_shown(highest, 'bound')}: {reason}")
+
+
+def _shown(n: int, noun: str, named: bool = False) -> str:
+    """n for a message, after its noun if named; past 30 digits only its
+    digit count, as in "a 1002-digit level"."""
+    digits = len(str(abs(n)))
+    if digits > 30:
+        return f"a {digits}-digit {'negative ' if n < 0 else ''}{noun}"
+    return f"{noun} {n}" if named else str(n)
 
 
 def _build_parser() -> _ArgumentParser:

@@ -13,6 +13,12 @@ Grammar (whitespace insensitive):
              | NAME '(' INT ')'          slot class, e.g. L(2)
              | NAME                      registered character constant
 
+A slot class NAME(i) is a class of the surface pulled back from slot
+i, named by its block key: `omega`, `L` and `f` are divisors (degree
+1), `pt` is the point class (degree 2), `pin` is a point pinned on one
+side of a node (degree 1), and any other name is a divisor (degree 1)
+whose pairings the surface geometry must register.
+
 Node profiles use the rendered syntax: `F(1|23:{4}(omega)|{5})` lists
 the colliding slots split across the two branches, then the side
 blocks on each component.  The short form `F(13:)` with no branch bar
@@ -26,17 +32,10 @@ level and reports error positions on the original text.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .charpoly import KNOWN_CHARACTERS, CharacterPolynomial
-from .surface import (
-    FIBRE,
-    LCLASS,
-    OMEGA,
-    POINT,
-    SurfaceClass,
-    SurfaceGeometry,
-    default_geometry,
-)
+from .surface import SurfaceGeometry, default_geometry
 from .tautring import (
     DiagMonomial,
     NodeClass,
@@ -95,13 +94,6 @@ def _tokenize(text: str):
         raise ParseError(f"unexpected character {ch!r}", i, text)
     tokens.append(("EOF", "", n))
     return tokens
-
-
-_CLASS_BY_NAME = {"omega": OMEGA, "L": LCLASS, "f": FIBRE, "pt": POINT}
-
-
-def _slot_class(name: str) -> SurfaceClass:
-    return _CLASS_BY_NAME.get(name) or SurfaceClass.divisor(name)
 
 
 class _Parser:
@@ -332,8 +324,12 @@ def parse(text: str, level: int):
 # -- AST flattening ------------------------------------------------------
 
 
-def _node_exprs(profile, m: int) -> TautExpr:
-    _tag, I, split, jblocks, kblocks, flavor, gamma_power = profile
+def _seed(ast, m: int) -> TautExpr:
+    """The expression of a `q[...]`, `F(...)` or `NS(...)` atom."""
+    if ast[0] == "diag":
+        blocks = tuple((tuple(slots), key) for slots, key in ast[1])
+        return TautExpr(m, {DiagMonomial(m, blocks): CharacterPolynomial.one()})
+    _tag, I, split, jblocks, kblocks, flavor, gamma_power = ast
     if split is None:
         # short form: sum of complete unit fillings of the free slots
         nodes = _unit_fillings(m, I, flavor, gamma_power)
@@ -346,48 +342,65 @@ def to_words(ast, m: int):
     """Flatten an AST into (coefficient, factor tuple) words.
 
     Distributes products over sums and expands powers, so each word is
-    a plain monomial the rewriting engine can evaluate.
+    a plain monomial the rewriting engine can evaluate.  A slot class
+    factor is ("class", slot, key), its key the name as written.
+    Factors commute, so the like words of a product are collected: a
+    word is its non-seed factors, sorted, then its seeds in their order
+    (a seed does not sort).  Coefficients are summed in first-seen
+    order, and a sum that cancels is kept, so the codimension checks
+    still see its word.
     """
+    return [(c, tuple(chain.from_iterable((f,) * n for f, n in powers))
+             + seeds) for c, (powers, seeds) in _words(ast, m)]
+
+
+def _words(ast, m: int):
+    """to_words, each word kept as (sorted (factor, power) pairs, seeds)."""
     kind = ast[0]
+    one = CharacterPolynomial.one()
     if kind == "num":
-        return [(CharacterPolynomial.constant(ast[1]), ())]
+        return [(CharacterPolynomial.constant(ast[1]), ((), ()))]
     if kind == "char":
-        return [(CharacterPolynomial.symbol(ast[1]), ())]
-    if kind in ("gamma", "delta"):
-        return [(CharacterPolynomial.one(), ((kind, ast[1]),))]
-    if kind == "class":
-        return [(CharacterPolynomial.one(),
-                 (("class", ast[2], _slot_class(ast[1])),))]
-    if kind == "diag":
-        blocks = tuple((tuple(slots), key) for slots, key in ast[1])
-        seed = TautExpr(m)
-        seed.add(DiagMonomial(m, blocks), CharacterPolynomial.one())
-        return [(CharacterPolynomial.one(), (("seed", seed),))]
-    if kind == "node":
-        return [(CharacterPolynomial.one(), (("seed", _node_exprs(ast, m)),))]
+        return [(CharacterPolynomial.symbol(ast[1]), ((), ()))]
+    if kind in ("gamma", "delta", "class"):
+        factor = ("class", ast[2], ast[1]) if kind == "class" else ast
+        return [(one, (((factor, 1),), ()))]
+    if kind in ("diag", "node"):
+        return [(one, ((), (("seed", _seed(ast, m)),)))]
     if kind == "neg":
-        return [(-c, w) for c, w in to_words(ast[1], m)]
+        return [(-c, w) for c, w in _words(ast[1], m)]
     if kind == "add":
-        return to_words(ast[1], m) + to_words(ast[2], m)
+        return _words(ast[1], m) + _words(ast[2], m)
     if kind == "sub":
-        return to_words(ast[1], m) + [(-c, w)
-                                      for c, w in to_words(ast[2], m)]
+        return _words(ast[1], m) + [(-c, w) for c, w in _words(ast[2], m)]
     if kind == "mul":
-        out = []
-        for c1, w1 in to_words(ast[1], m):
-            for c2, w2 in to_words(ast[2], m):
-                out.append((c1 * c2, w1 + w2))
-        return out
+        return _product(_words(ast[1], m), _words(ast[2], m))
     if kind == "pow":
-        out = [(CharacterPolynomial.one(), ())]
+        base = _words(ast[1], m)
+        out = [(one, ((), ()))]
         for _ in range(ast[2]):
-            nxt = []
-            for c1, w1 in out:
-                for c2, w2 in to_words(ast[1], m):
-                    nxt.append((c1 * c2, w1 + w2))
-            out = nxt
+            out = _product(out, base)
         return out
     raise ValueError(f"unknown AST node {kind!r}")
+
+
+def _product(left, right):
+    """The words of a product, like words collected in first-seen order.
+
+    A seed is keyed by its identity, one object per atom: a TautExpr
+    hash walks all its terms, at every step of a power of a seed.
+    """
+    out = {}
+    for c1, (p1, s1) in left:
+        for c2, (p2, s2) in right:
+            powers = dict(p1)
+            for f, n in p2:
+                powers[f] = powers.get(f, 0) + n
+            word = (tuple(sorted(powers.items())), s1 + s2)
+            key = (word[0], tuple(id(seed) for _, seed in word[1]))
+            c = c1 * c2
+            out[key] = (out[key][0] + c, word) if key in out else (c, word)
+    return list(out.values())
 
 
 def evaluate_normal(text: str, m: int,

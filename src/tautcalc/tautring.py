@@ -6,7 +6,9 @@ every level; dim W^m = m + 1.  The working basis has two kinds of
 generators:
 
 * diagonal monomials q_{(I.)}[(c.)]: a partition of a subset of the
-  slots into blocks, each block decorated by a surface class;
+  slots into blocks, each block decorated by a surface class named by
+  its key ("L", "pt", ...; see `_KEY_DEGREE`).  A slot class c^(i) of a
+  word is that key on slot i;
 * node classes: scrolls F^(I1|I2: J|K)[(c.)] supported over the nodes
   of degenerate fibres, and their sections NS = -Gamma.F.
 
@@ -47,7 +49,7 @@ from math import comb, factorial
 
 from . import shared_table, shares_work
 from .charpoly import CharacterPolynomial
-from .surface import FIBRE, SurfaceClass, SurfaceGeometry, default_geometry
+from .surface import SurfaceGeometry, default_geometry
 
 __all__ = [
     "DiagMonomial",
@@ -558,51 +560,42 @@ def _find_block(side, slots):
 # -- slot classes -------------------------------------------------------
 
 
-def mul_class(gen, slot: int, cls: SurfaceClass,
+def mul_class(gen, slot: int, key: str,
               geo: SurfaceGeometry | None = None) -> TautExpr:
-    """Multiply the class c^(slot) into a generator."""
+    """Multiply the slot class key^(slot) into a generator."""
     geo = geo or default_geometry()
     out = TautExpr(gen.m)
-    for coeff, key in cls.basis_terms():
-        coeff = _as_char(coeff)
-        if key == "1":
-            out.add(gen, coeff)
-            continue
-        if isinstance(gen, DiagMonomial):
-            idx = gen.block_of(slot)
-            if idx is None:
-                # the slot comes from the caller: check it like the
-                # public constructor would
-                if not 1 <= slot <= gen.m:
-                    raise ValueError(f"slot {slot} outside level {gen.m}")
-                blocks = list(gen.blocks)
-                blocks.append(((slot,), key))
-                out.add(DiagMonomial._new(gen.m, blocks), coeff)
-                continue
-            cur = gen.blocks[idx][1]
-            merged = _merge_keys(cur, key, geo)
-            if merged is None:
-                continue
+    if isinstance(gen, DiagMonomial):
+        idx = gen.block_of(slot)
+        if idx is None:
+            # the slot comes from the caller: check it like the
+            # public constructor would
+            if not 1 <= slot <= gen.m:
+                raise ValueError(f"slot {slot} outside level {gen.m}")
+            blocks = list(gen.blocks)
+            blocks.append(((slot,), key))
+            out.add(DiagMonomial._new(gen.m, blocks), CharacterPolynomial.one())
+            return out
+        merged = _merge_keys(gen.blocks[idx][1], key, geo)
+        if merged is not None:
             extra, new_key = merged
-            out.add(gen._with_key(idx, new_key), coeff * extra)
-            continue
-        # node generator: positive-degree classes die on the node slots
-        if slot in gen.I:
-            continue
-        if _key_degree(key) > 1:
-            continue
-        for side_name in ("jblocks", "kblocks"):
-            side = getattr(gen, side_name)
-            t = _find_block(side, (slot,))
-            if t is not None:
-                break
-        else:
-            raise ValueError(f"slot {slot} missing from node profile")
-        slots, cur = side[t]
-        if cur == "1":
-            new_side = list(side)
-            new_side[t] = (slots, key)
-            out.add(_edit(gen, side_name, new_side), coeff)
+            out.add(gen._with_key(idx, new_key), extra)
+        return out
+    # node generator: positive-degree classes die on the node slots
+    if slot in gen.I or _key_degree(key) > 1:
+        return out
+    for side_name in ("jblocks", "kblocks"):
+        side = getattr(gen, side_name)
+        t = _find_block(side, (slot,))
+        if t is not None:
+            break
+    else:
+        raise ValueError(f"slot {slot} missing from node profile")
+    slots, cur = side[t]
+    if cur == "1":
+        new_side = list(side)
+        new_side[t] = (slots, key)
+        out.add(_edit(gen, side_name, new_side), CharacterPolynomial.one())
     return out
 
 
@@ -865,7 +858,7 @@ def pushforward(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
         rest = DiagMonomial._new(m - 1, [b for t, b in enumerate(gen.blocks)
                                          if t != idx])
         if key == "pt":
-            for g2, c2 in mul_class(rest, 1, FIBRE, geo).terms.items():
+            for g2, c2 in mul_class(rest, 1, "f", geo).terms.items():
                 out.add(g2, coeff * c2)
             continue
         if key == "pin":
@@ -972,7 +965,7 @@ def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
 
     The Gammas at each level are applied before pulling back; Gammas
     below a seed's level are left for the down pass.  The slot classes,
-    (slot, rendered class, class) triples, are multiplied in at the top.
+    (slot, key) pairs, are multiplied in at the top.
     """
     start = seed.m if seed is not None else min(levels, default=m)
     expr = seed if seed is not None else unit(start)
@@ -982,13 +975,12 @@ def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
         if k < m:
             expr = pullback(expr, geo)
     images = shared_table("class", geo)
-    for slot, text, cls in classes:
+    for slot, key in classes:
         nxt = TautExpr(m)
         for gen, c in expr.terms.items():
-            key = (gen, slot, text)
-            piece = images.get(key)
+            piece = images.get((gen, slot, key))
             if piece is None:
-                piece = images[key] = mul_class(gen, slot, cls, geo)
+                piece = images[gen, slot, key] = mul_class(gen, slot, key, geo)
             for g2, c2 in piece.terms.items():
                 nxt.add(g2, c * c2)
         expr = nxt
@@ -1002,24 +994,23 @@ def _word_codim(factors, m: int):
     read in order up to that one, so a Delta index outside the level or
     an unknown factor before it is still an error; two seeds are refused.
     """
-    gammas = 0
-    classes = []
+    codim = 0
     seeds = []
     for factor in factors:
         kind = factor[0]
         if kind == "gamma":
-            gammas += 1
+            codim += 1
         elif kind == "delta":
             k = factor[1]
             if k < 1 or k > m:
                 raise ValueError(f"diagonal index {k} outside level {m}")
             if k == 1:
                 return None
-            gammas += 1
+            codim += 1
         elif kind == "smalldiag":
-            gammas += m - 1
+            codim += m - 1
         elif kind == "class":
-            classes.append(factor[2])
+            codim += _key_degree(factor[2])
         elif kind == "seed":
             seeds.append(factor[1])
         else:
@@ -1027,24 +1018,22 @@ def _word_codim(factors, m: int):
     if len(seeds) > 1:
         raise UnsupportedProductError(
             "products of two seeded classes are not supported")
-    codim = (seeds[0].codim() or 0) if seeds else 0
-    return codim + gammas + sum(cls.pure_degree() for cls in classes)
+    if seeds:
+        codim += seeds[0].codim() or 0
+    return codim
 
 
 def _merge_words(words, m: int, integral: bool) -> list:
     """Expand every (coefficient, factors) word and merge the pieces.
 
     Returns (Gamma levels, classes, seed, coefficient) per distinct
-    piece, with the zero coefficients dropped; classes are (slot,
-    rendered class, class) triples.  Each word is checked on its own,
+    piece, with the zero coefficients dropped; classes are sorted
+    (slot, key) pairs.  Each word is checked on its own,
     in input order, with the checks of an integral or of a normal form;
     its codimension is checked before it is expanded, so a huge power
     is refused at once.  The merge lives for one call only.
     """
     merged = {}
-    # a class is keyed by its slot and rendering, rendered once per
-    # word: a SurfaceClass hash rebuilds a frozenset on every call
-    found = {}
     for coeff, factors in words:
         codim = _word_codim(factors, m)
         if codim is None:
@@ -1067,15 +1056,12 @@ def _merge_words(words, m: int, integral: bool) -> list:
             raise UnsupportedProductError(
                 "gamma factors below the seeded level need the integral pipeline")
         # slot classes commute, so sorting lets reordered words share a key
-        classes = sorted(((f[1], f[2].render(), f[2]) for f in classes),
-                         key=lambda c: c[:2])
-        class_key = tuple(c[:2] for c in classes)
-        found.setdefault(class_key, classes)
+        classes = tuple(sorted(f[1:] for f in classes))
         for levels, c in expanded.items():
-            key = (levels, class_key, seed)
+            key = (levels, classes, seed)
             merged[key] = merged.get(key, 0) + coeff * c
-    return [(levels, found[class_key], seed, c)
-            for (levels, class_key, seed), c in merged.items() if c]
+    return [(levels, classes, seed, c)
+            for (levels, classes, seed), c in merged.items() if c]
 
 
 @shares_work
@@ -1117,7 +1103,8 @@ def expand_monomial(factors, m: int, geo: SurfaceGeometry | None = None,
 
     Factors: ("gamma", k) for Gamma^[k], ("delta", k) for Delta^(k) =
     Gamma^[k] - Gamma^[k-1], ("smalldiag",) for the small-diagonal
-    correction, ("class", slot, SurfaceClass).  An optional seed
+    correction, ("class", slot, key) for a slot class named by its block
+    key ("L", "omega", "f", "pt" or a registered divisor).  An optional seed
     expression starts the pipeline at its own level.
     """
     return _normal_words(_with_seed(factors, seed), m,
@@ -1137,15 +1124,13 @@ def integrate_word(factors, m: int, geo: SurfaceGeometry | None = None,
 
 
 @shares_work
-def chern_taut(m: int, geo: SurfaceGeometry | None = None,
-               lsymbol: SurfaceClass | None = None) -> list:
+def chern_taut(m: int, geo: SurfaceGeometry | None = None) -> list:
     """Graded pieces of prod_i (1 + L^(i) - Delta^(i))."""
     geo = geo or default_geometry()
-    lcls = lsymbol or SurfaceClass.divisor("L")
     # (degree, sign, factors) for every way to pick one summand per slot
     picks = [(0, 1, ())]
     for i in range(1, m + 1):
-        opts = [(0, 1, ()), (1, 1, (("class", i, lcls),))]
+        opts = [(0, 1, ()), (1, 1, (("class", i, "L"),))]
         if i >= 2:
             opts.append((1, -1, (("delta", i),)))
         picks = [(d + d2, s * s2, f + f2) for d, s, f in picks

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from tautcalc import tautring
 from tautcalc.charpoly import CharacterPolynomial, symbol
-from tautcalc.surface import LCLASS, SurfaceGeometry
+from tautcalc.surface import SurfaceGeometry
 
 DATA = Path(__file__).parent / "data" / "golden_nodes.txt"
 
@@ -86,7 +86,7 @@ def lines(m: int) -> list[str]:
                    + _render(lambda: tautring.pullback(expr, GEO)))
         for s in range(1, m + 1):
             out.append(f"{head}\tL({s})\t" + _render(
-                lambda: tautring.mul_class(node, s, LCLASS, GEO)))
+                lambda: tautring.mul_class(node, s, "L", GEO)))
     return out
 
 

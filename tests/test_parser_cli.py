@@ -3,13 +3,20 @@ from __future__ import annotations
 import contextlib
 import io
 from math import comb
+from time import perf_counter
 
 import pytest
 
 from tautcalc import cli, polyoracle
 from tautcalc.charpoly import symbol
 from tautcalc.cli import main
-from tautcalc.exprparse import ParseError, evaluate_integral, evaluate_normal
+from tautcalc.exprparse import (
+    ParseError,
+    evaluate_integral,
+    evaluate_normal,
+    parse,
+    to_words,
+)
 from tautcalc.tautring import render_expr
 
 omegaL = symbol("omegaL")
@@ -79,6 +86,42 @@ class TestParseForms:
     def test_irreducible_marker(self):
         e = evaluate_normal("NS(1|23:)@irr", 3)
         assert render_expr(e) == "NS(1|23:)@irr"
+
+
+class TestLikeWords:
+    # factors commute, so the words of a product are collected
+    @pytest.mark.parametrize("k", [0, 1, 5, 12])
+    def test_power_of_a_sum_has_one_word_per_split(self, k):
+        words = to_words(parse(f"(Delta<2>+Delta<3>)^{k}", 3), 3)
+        assert len(words) == k + 1
+
+    def test_seeds_follow_the_sorted_factors(self):
+        words = to_words(parse("(NS(13:)+Delta<2>)^2", 3), 3)
+        kinds = [tuple(f[0] for f in word) for _, word in words]
+        assert kinds == [("seed", "seed"), ("delta", "seed"),
+                         ("delta", "delta")]
+        assert [c.render() for c, _ in words] == ["1", "2", "1"]
+
+    def test_collected_integral_unchanged(self):
+        code, out, err = run_cli(["integrate", "-m", "3",
+                                  "(Delta<2>+Delta<3>+L(1))^4"])
+        assert (code, err) == (0, "")
+        assert out == ("-8*dL*sigma + 4*dL*omega2 - 6*L2*g2 - 46*sigma"
+                       " - 96*omegaL + 78*omega2 + 36*L2\n")
+
+    def test_huge_power_refused_at_once(self):
+        start = perf_counter()
+        code, out, err = run_cli(["normalize", "-m", "9",
+                                  "(Delta<2>+Delta<3>)^40"])
+        assert perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: word exceeds the dimension of the level\n"
+
+    def test_cancelled_word_still_checked(self):
+        code, out, err = run_cli(["normalize", "-m", "3",
+                                  "(L(1)-L(1))*Delta<3>^4"])
+        assert (code, out) == (2, "")
+        assert err == "error: word exceeds the dimension of the level\n"
 
 
 class TestParseErrors:
@@ -206,6 +249,32 @@ class TestCliValues:
         assert "term j=(2,0,2) G=1 W=-L2*g2 - 2*L2*dL + 2*L2" in terms
 
 
+class TestSlotClassNames:
+    # the slot classes that the golden renders never use: pt, pin, a
+    # user divisor with and without a registered pairing
+    @pytest.mark.parametrize("m,text,value", [
+        ("2", "pt(1)*Delta<2>", "1"),
+        ("2", "pt(2)*omega(1)", "g2"),
+        ("3", "pt(3)*Delta<3>^2", "2"),
+        ("3", "pt(2)*L(1)*Delta<3>", "2*dL"),
+        ("2", "pin(1)*Delta<2>^2", "0"),
+    ])
+    def test_integrals(self, m, text, value):
+        assert run_cli(["integrate", "-m", m, text]) == (0, value + "\n", "")
+
+    @pytest.mark.parametrize("text,form", [
+        ("pt(2)*Delta<3>", "q[{1,3},{2}](1, pt) + q[{2,3}](pt)"),
+        ("f(2)*NS(13:)", "NS(1|3:|{2}(f)) + NS(1|3:{2}(f)|)"),
+    ])
+    def test_normal_forms(self, text, form):
+        assert run_cli(["normalize", "-m", "3", text]) == (0, form + "\n", "")
+
+    def test_unregistered_divisor(self):
+        code, out, err = run_cli(["integrate", "-m", "3", "M(1)*Delta<3>^3"])
+        assert (code, out) == (2, "")
+        assert "no pairing registered" in err
+
+
 class TestCliFormats:
     def test_alpha_kv(self):
         code, out, _ = run_cli(["alpha", "4", "--format", "kv"])
@@ -323,8 +392,8 @@ class TestCliExitCodes:
         (["eta", "3", "2", "4"], "j 4 above 3: indices run to the level"),
         (["alpha", "0"], "level 0 below 1"),
         (["alpha", "-3"], "level -3 below 1"),
-        (["alpha", str(10**1000 + 1)], f"level {10**1000 + 1} above"
-         f" {10**1000}: the answer would pass Python's 4300-digit print limit"),
+        (["alpha", str(10**1000 + 1)], "a 1001-digit level above a 1001-digit"
+         " bound: the answer would pass Python's 4300-digit print limit"),
         (["colength", "0"], "level 0 below 1"),
         (["colength", "301"], "level 301 above 300: the Buchberger"),
         (["beta", "1"], "level 1 below 2"),
@@ -340,6 +409,7 @@ class TestCliExitCodes:
          "box a+b 2002 above 16"),
         (["schubert", "--box", "2,4", "--factors", "r2,c5"],
          "factor size 5 above 4: a special class fits in the box"),
+        (["alpha", str(-10**40)], "a 41-digit negative level below 1"),
     ])
     def test_subcommand_levels_out_of_range_exit_at_once(self, argv, message,
                                                          monkeypatch):
@@ -351,6 +421,13 @@ class TestCliExitCodes:
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
+
+    def test_huge_level_refused_in_a_short_message(self):
+        code, out, err = run_cli(["alpha", str(10**1000 + 1)])
+        assert (code, out) == (1, "")
+        assert len(err) < 200
+        assert "1001-digit level" in err
+        assert "4300-digit print limit" in err
 
     @pytest.mark.parametrize("expr", ["F(11:)*Gamma<2>^2",
                                       "F(1|1:|{2})*Gamma<2>^2"])
