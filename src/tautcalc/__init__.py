@@ -29,7 +29,7 @@ def shares_work(fn):
     return call
 
 
-def shared_table(*name):
+def shared_table(name):
     """The open scope's table called name, made on first use.
 
     A table maps a computation's input to its result; every result in

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 Rational = Fraction
 
-# Characters every geometry starts with.  g2 stores the fibre degree of
+# The characters of the surface.  g2 stores the fibre degree of
 # the relative dualizing class, i.e. 2g-2 for fibre genus g; g2J and g2K
 # are the analogous degrees on the two sides of a generic node.
 DEFAULT_CHARACTERS = ("sigma", "omega2", "omegaL", "L2", "dL", "g2", "g2J", "g2K")
@@ -89,14 +89,6 @@ class CharacterPolynomial:
             raise ValueError(f"not a constant: {self}")
         return self._terms.get((), Fraction(0))
 
-    def degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(len(m) for m in self._terms)
-
-    def symbols(self) -> set[str]:
-        return {s for m in self._terms for s in m}
-
     def coefficient(self, mono: tuple[str, ...]) -> Rational:
         return self._terms.get(tuple(sorted(mono)), Fraction(0))
 
@@ -166,9 +158,14 @@ class CharacterPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported")
-        result = CharacterPolynomial.one()
-        for _ in range(n):
-            result = result * self
+        # repeated squaring: about 2 log2(n) products, not n
+        result, square = CharacterPolynomial.one(), self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def evaluate(self, assignment: dict[str, Rational]) -> "CharacterPolynomial":
@@ -254,7 +251,6 @@ def _coerce(value):
 
 
 ZERO = CharacterPolynomial.zero()
-ONE = CharacterPolynomial.one()
 
 
 def symbol(name: str) -> CharacterPolynomial:

@@ -611,7 +611,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
-        # the surface geometry has no pairing or degree for a symbol
+        # the surface has no pairing, degree or node count for a key
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 

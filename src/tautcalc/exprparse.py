@@ -17,7 +17,8 @@ A slot class NAME(i) is a class of the surface pulled back from slot
 i, named by its block key: `omega`, `L` and `f` are divisors (degree
 1), `pt` is the point class (degree 2), `pin` is a point pinned on one
 side of a node (degree 1), and any other name is a divisor (degree 1)
-whose pairings the surface geometry must register.
+that the surface does not pair: a normal form may carry it, but an
+integral of it is refused.
 
 Node profiles use the rendered syntax: `F(1|23:{4}(omega)|{5})` lists
 the colliding slots split across the two branches, then the side
@@ -35,7 +36,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .charpoly import KNOWN_CHARACTERS, CharacterPolynomial
-from .surface import SurfaceGeometry, default_geometry
 from .tautring import (
     DiagMonomial,
     NodeClass,
@@ -376,9 +376,14 @@ def _words(ast, m: int):
     if kind == "mul":
         return _product(_words(ast[1], m), _words(ast[2], m))
     if kind == "pow":
-        base = _words(ast[1], m)
+        base, n = _words(ast[1], m), ast[2]
+        if len(base) == 1 and n > 0:
+            # one word: its power in one step, not n products
+            c, (powers, seeds) = base[0]
+            return [(c ** n, (tuple((f, k * n) for f, k in powers),
+                              seeds * n))]
         out = [(one, ((), ()))]
-        for _ in range(ast[2]):
+        for _ in range(n):
             out = _product(out, base)
         return out
     raise ValueError(f"unknown AST node {kind!r}")
@@ -403,15 +408,11 @@ def _product(left, right):
     return list(out.values())
 
 
-def evaluate_normal(text: str, m: int,
-                    geo: SurfaceGeometry | None = None) -> TautExpr:
+def evaluate_normal(text: str, m: int) -> TautExpr:
     """Parse and expand an expression to its normal form at level m."""
-    return _normal_words(to_words(parse(text, m), m), m,
-                         geo or default_geometry())
+    return _normal_words(to_words(parse(text, m), m), m)
 
 
-def evaluate_integral(text: str, m: int,
-                      geo: SurfaceGeometry | None = None) -> CharacterPolynomial:
+def evaluate_integral(text: str, m: int) -> CharacterPolynomial:
     """Parse an expression and integrate it over the level-m space."""
-    return _integrate_words(to_words(parse(text, m), m), m,
-                            geo or default_geometry())
+    return _integrate_words(to_words(parse(text, m), m), m)

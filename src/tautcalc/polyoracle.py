@@ -72,25 +72,8 @@ class QuotPoly:
         return poly
 
     @classmethod
-    def zero(cls, m: int) -> "QuotPoly":
-        return cls(m)
-
-    @classmethod
     def constant(cls, m: int, value) -> "QuotPoly":
         return cls(m, {(0,) * (2 * m + 1): value})
-
-    @classmethod
-    def variable(cls, m: int, name: str, index: int = 0) -> "QuotPoly":
-        mono = [0] * (2 * m + 1)
-        if name == "x":
-            mono[index - 1] = 1
-        elif name == "y":
-            mono[m + index - 1] = 1
-        elif name == "t":
-            mono[2 * m] = 1
-        else:
-            raise ValueError(f"unknown variable {name!r}")
-        return cls(m, {tuple(mono): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -154,12 +137,6 @@ class QuotPoly:
 
     def __hash__(self):
         return hash((self.m, frozenset(self.terms.items())))
-
-    def min_t_exponent(self) -> int:
-        """Exact t-adic valuation of a nonzero element."""
-        if not self.terms:
-            raise ValueError("zero element has no valuation")
-        return min(mono[2 * self.m] for mono in self.terms)
 
     def __repr__(self):
         return f"QuotPoly(m={self.m}, {len(self.terms)} terms)"

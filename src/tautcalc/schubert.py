@@ -14,7 +14,6 @@ from fractions import Fraction
 from . import shares_work
 from .charpoly import CharacterPolynomial
 from .exprparse import evaluate_integral
-from .surface import SurfaceGeometry, default_geometry
 
 __all__ = [
     "BoxPartition",
@@ -46,9 +45,6 @@ class BoxPartition:
 
     def padded(self):
         return self.rows + (0,) * (self.box[0] - len(self.rows))
-
-    def weight(self) -> int:
-        return sum(self.rows)
 
     def conjugate(self) -> "BoxPartition":
         a, b = self.box
@@ -181,33 +177,31 @@ NSEC3_TUPLES = tuple(
 )
 
 
-def _w_integral(j1: int, j2: int, j3: int,
-                geo: SurfaceGeometry | None = None) -> CharacterPolynomial:
+def _w_integral(j1: int, j2: int, j3: int) -> CharacterPolynomial:
     """Integral over W^3 of (L1)^j1 (L2 - D2)^j2 (L3 - D3)^j3."""
     return evaluate_integral(
-        f"L(1)^{j1}*(L(2)-Delta<2>)^{j2}*(L(3)-Delta<3>)^{j3}", 3, geo)
+        f"L(1)^{j1}*(L(2)-Delta<2>)^{j2}*(L(3)-Delta<3>)^{j3}", 3)
 
 
 @shares_work
-def nsec3_terms(geo: SurfaceGeometry | None = None):
+def nsec3_terms():
     """Per-tuple (Grassmannian degree, fibre-power integral) breakdown."""
-    geo = geo or default_geometry()
     out = {}
     for (j1, j2, j3) in NSEC3_TUPLES:
         g = grassmann_integral((2, 4), [("row", 4 - j1), ("row", 4 - j2),
                                         ("row", 4 - j3)])
-        w = _w_integral(j1, j2, j3, geo)
+        w = _w_integral(j1, j2, j3)
         out[(j1, j2, j3)] = (g, w)
     return out
 
 
-def nsec3(geo: SurfaceGeometry | None = None) -> CharacterPolynomial:
+def nsec3() -> CharacterPolynomial:
     """3! times the virtual count of 3-node curves in the family.
 
     Assembles sum over exponent tuples of (Grassmannian degree) times
     (fibre-power integral); divide by 6 for the count itself.
     """
-    return _nsec3_sum(nsec3_terms(geo))
+    return _nsec3_sum(nsec3_terms())
 
 
 def _nsec3_sum(terms) -> CharacterPolynomial:

@@ -115,13 +115,8 @@ def _add(p: Poly, q: Poly) -> Poly:
     return out
 
 
-def normal_form(p: Poly, basis: list[Poly]) -> Poly:
-    """Fully reduce p against the basis."""
-    return _reduce(p, basis, [leading_monomial(g) for g in basis])
-
-
 def _reduce(p: Poly, basis: list[Poly], lms: list[Mono]) -> Poly:
-    # normal_form with the basis' leading monomials given
+    # fully reduce p against the basis, whose leading monomials are lms
     remainder: Poly = {}
     work = dict(p)
     while work:

@@ -1,8 +1,12 @@
 """Intersection data of the fibred surface and the `--chars` parser.
 
-A slot class is named by its block key (see `tautring`): "omega", "L"
-and "f" are the base divisors, "pt" the point class, and any other name
-a divisor registered in a `SurfaceGeometry`.
+The calculator works on one fixed surface, `GEOMETRY`: its numbers are
+the characters `sigma` (the nodes, all on reducible fibres), `omega2`,
+`omegaL`, `L2`, `dL` and `g2`, and the side degrees `g2J`, `g2K`.  A
+slot class is named by its block key (see `tautring`): "omega", "L"
+and "f" are the divisors the surface pairs, "pt" the point class.  A
+divisor of any other name has no pairing and no fibre degree, so a
+normal form may carry it but an integral of it is refused.
 """
 from __future__ import annotations
 
@@ -19,11 +23,10 @@ class SurfaceGeometry:
     generic node (needed when a node class self-intersects).
     """
 
-    def __init__(self, pairing=None, fibre_degrees=None, node_flavors=None):
-        sigma = symbol("sigma")
+    def __init__(self):
         g2 = symbol("g2")
         dL = symbol("dL")
-        default_pairing = {
+        self.pairing = {
             ("omega", "omega"): symbol("omega2"),
             ("L", "omega"): symbol("omegaL"),
             ("L", "L"): symbol("L2"),
@@ -31,20 +34,8 @@ class SurfaceGeometry:
             ("f", "omega"): g2,
             ("L", "f"): dL,
         }
-        self.pairing = dict(default_pairing)
-        if pairing:
-            for (a, b), value in pairing.items():
-                self.pairing[tuple(sorted((a, b)))] = _as_poly(value)
         self.fibre_degrees = {"omega": g2, "L": dL, "f": CharacterPolynomial.zero()}
-        if fibre_degrees:
-            for name, value in fibre_degrees.items():
-                self.fibre_degrees[name] = _as_poly(value)
-        if node_flavors is None:
-            node_flavors = (("reducible", sigma),)
-        self.node_flavors = tuple((name, _as_poly(count)) for name, count in node_flavors)
-        for name, _ in self.node_flavors:
-            if name not in ("reducible", "irreducible"):
-                raise ValueError(f"unknown node flavor {name!r}")
+        self.node_counts = {"reducible": symbol("sigma")}
         self.side_degrees = {"J": symbol("g2J"), "K": symbol("g2K")}
 
     def pair(self, a: str, b: str) -> CharacterPolynomial:
@@ -54,29 +45,17 @@ class SurfaceGeometry:
         return self.pairing[key]
 
     def node_count(self, flavor: str) -> CharacterPolynomial:
-        for name, count in self.node_flavors:
-            if name == flavor:
-                return count
-        raise KeyError(f"geometry has no {flavor!r} nodes")
+        if flavor not in self.node_counts:
+            raise KeyError(f"geometry has no {flavor!r} nodes")
+        return self.node_counts[flavor]
 
     def side_omega_degree(self, side: str) -> CharacterPolynomial:
         return self.side_degrees[side]
 
 
-def _as_poly(value) -> CharacterPolynomial:
-    if isinstance(value, CharacterPolynomial):
-        return value
-    return CharacterPolynomial.constant(value)
-
-
-_DEFAULT = None
-
-
-def default_geometry() -> SurfaceGeometry:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = SurfaceGeometry()
-    return _DEFAULT
+# the surface; look `GEOMETRY.pair` up when it is called, never bind it
+# once, so a wrapper put on the class method later still sees every call
+GEOMETRY = SurfaceGeometry()
 
 
 def parse_character_config(text: str) -> dict[str, Rational]:

@@ -49,7 +49,7 @@ from math import comb, factorial
 
 from . import shared_table, shares_work
 from .charpoly import CharacterPolynomial
-from .surface import SurfaceGeometry, default_geometry
+from .surface import GEOMETRY
 
 __all__ = [
     "DiagMonomial",
@@ -68,7 +68,6 @@ __all__ = [
     "integrate_word",
     "chern_taut",
     "unit",
-    "node_scroll",
 ]
 
 
@@ -82,7 +81,7 @@ class UnsupportedProductError(ValueError):
 
 # block decorations: "1" is the unit, "pt" the point class of the
 # surface, "pin" a point pinned on one side of a node (fibre factor 1),
-# anything else a registered divisor symbol
+# anything else a divisor
 _KEY_DEGREE = {"1": 0, "pt": 2, "pin": 1}
 
 
@@ -90,7 +89,7 @@ def _key_degree(key: str) -> int:
     return _KEY_DEGREE.get(key, 1)
 
 
-def _merge_keys(a: str, b: str, geo: SurfaceGeometry):
+def _merge_keys(a: str, b: str):
     """Product of two block decorations.
 
     Returns (character coefficient, key) or None when the product
@@ -104,7 +103,7 @@ def _merge_keys(a: str, b: str, geo: SurfaceGeometry):
         return None
     if a == "pin" or b == "pin":
         return None
-    return geo.pair(a, b), "pt"
+    return GEOMETRY.pair(a, b), "pt"
 
 
 def _render_blocks(blocks) -> str:
@@ -359,26 +358,6 @@ class TautExpr:
             raise DimensionError(f"mixed codimensions {sorted(codims)}")
         return codims.pop() if codims else None
 
-    def __add__(self, other):
-        if isinstance(other, TautExpr):
-            if other.m != self.m:
-                raise ValueError("level mismatch")
-            out = TautExpr(self.m, self.terms)
-            for gen, coeff in other.terms.items():
-                out.add(gen, coeff)
-            return out
-        return NotImplemented
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "TautExpr":
-        coeff = _as_char(coeff)
-        out = TautExpr(self.m)
-        for gen, c in self.terms.items():
-            out.add(gen, c * coeff)
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, TautExpr) and self.m == other.m
                 and self.terms == other.terms)
@@ -405,15 +384,10 @@ def unit(m: int) -> TautExpr:
     return TautExpr(m, {DiagMonomial(m): CharacterPolynomial.one()})
 
 
-def node_scroll(m, I, split, jblocks=(), kblocks=(), flavor="reducible"):
-    return TautExpr(m, {NodeClass(m, I, split, jblocks, kblocks, flavor, 0):
-                        CharacterPolynomial.one()})
-
-
 # -- partition surgery -------------------------------------------------
 
 
-def _merge_pair(mono: DiagMonomial, i: int, j: int, geo) -> tuple:
+def _merge_pair(mono: DiagMonomial, i: int, j: int) -> tuple:
     """Join slots i, j of a monomial; returns (coeff, monomial) or None."""
     bi = mono.block_of(i)
     bj = mono.block_of(j)
@@ -433,7 +407,7 @@ def _merge_pair(mono: DiagMonomial, i: int, j: int, geo) -> tuple:
         raise ValueError("pair already inside one block")
     si, ki = blocks[bi]
     sj, kj = blocks[bj]
-    merged = _merge_keys(ki, kj, geo)
+    merged = _merge_keys(ki, kj)
     if merged is None:
         return None
     coeff, key = merged
@@ -450,7 +424,7 @@ def _free_slots(mono: DiagMonomial):
 # -- Gamma on diagonal monomials ---------------------------------------
 
 
-def mul_gamma_diag(mono: DiagMonomial, geo: SurfaceGeometry | None = None) -> TautExpr:
+def mul_gamma_diag(mono: DiagMonomial) -> TautExpr:
     """Gamma^[m] . q_{(I.)}[(c.)].
 
     Three families: pair joins over pairs not inside a single block,
@@ -458,7 +432,6 @@ def mul_gamma_diag(mono: DiagMonomial, geo: SurfaceGeometry | None = None) -> Ta
     splits, side points distributed over the two branches), and the
     within-block correction -binom(|B|,2) omega.
     """
-    geo = geo or default_geometry()
     m = mono.m
     out = TautExpr(m)
 
@@ -469,7 +442,7 @@ def mul_gamma_diag(mono: DiagMonomial, geo: SurfaceGeometry | None = None) -> Ta
         bi, bj = mono.block_of(i), mono.block_of(j)
         if bi is not None and bi == bj:
             continue
-        merged = _merge_pair(mono, i, j, geo)
+        merged = _merge_pair(mono, i, j)
         if merged is None:
             continue
         coeff, joined = merged
@@ -480,7 +453,7 @@ def mul_gamma_diag(mono: DiagMonomial, geo: SurfaceGeometry | None = None) -> Ta
         if size < 2:
             continue
         # omega correction; the sign is forced by the integral battery
-        repaired = _merge_keys(key, "omega", geo)
+        repaired = _merge_keys(key, "omega")
         if repaired is not None:
             coeff, new_key = repaired
             out.add(mono._with_key(idx, new_key),
@@ -489,15 +462,14 @@ def mul_gamma_diag(mono: DiagMonomial, geo: SurfaceGeometry | None = None) -> Ta
             continue
         others = ([(bk[0], bk[1]) for k2, bk in enumerate(mono.blocks) if k2 != idx]
                   + [((s,), "1") for s in free])
-        for flavor, _count in geo.node_flavors:
-            reducible = flavor == "reducible"
-            assignments = _distributions(others, reducible)
-            for split_j in range(1, size):
-                # the staircase weight beta(size, split_j), in closed form
-                w = size * split_j * (size - split_j) // 2
-                for jside, kside in assignments:
-                    out.add(NodeClass._new(m, slots, split_j, jside, kside,
-                                           flavor, 0), Fraction(w))
+        # the surface's nodes all lie on reducible fibres
+        assignments = _distributions(others, True)
+        for split_j in range(1, size):
+            # the staircase weight beta(size, split_j), in closed form
+            w = size * split_j * (size - split_j) // 2
+            for jside, kside in assignments:
+                out.add(NodeClass._new(m, slots, split_j, jside, kside,
+                                       "reducible", 0), Fraction(w))
     return out
 
 
@@ -560,10 +532,8 @@ def _find_block(side, slots):
 # -- slot classes -------------------------------------------------------
 
 
-def mul_class(gen, slot: int, key: str,
-              geo: SurfaceGeometry | None = None) -> TautExpr:
+def mul_class(gen, slot: int, key: str) -> TautExpr:
     """Multiply the slot class key^(slot) into a generator."""
-    geo = geo or default_geometry()
     out = TautExpr(gen.m)
     if isinstance(gen, DiagMonomial):
         idx = gen.block_of(slot)
@@ -576,7 +546,7 @@ def mul_class(gen, slot: int, key: str,
             blocks.append(((slot,), key))
             out.add(DiagMonomial._new(gen.m, blocks), CharacterPolynomial.one())
             return out
-        merged = _merge_keys(gen.blocks[idx][1], key, geo)
+        merged = _merge_keys(gen.blocks[idx][1], key)
         if merged is not None:
             extra, new_key = merged
             out.add(gen._with_key(idx, new_key), extra)
@@ -697,7 +667,7 @@ def _apply_move(node: NodeClass, move):
     return _insert_omega(node, move[1], move[2])
 
 
-def _resolve_c2(node: NodeClass, t1, t2, geo):
+def _resolve_c2(node: NodeClass, t1, t2):
     """Product of two Chern-factor terms on the scroll; see (coeff, node)."""
     c1, mv1 = t1
     c2, mv2 = t2
@@ -714,7 +684,7 @@ def _resolve_c2(node: NodeClass, t1, t2, geo):
         pinned = _merge_side_blocks(node, mv1[1], mv1[2], mv1[3], pin=True)
         if pinned is None:
             return None
-        return coeff * (-geo.side_omega_degree(side_tag)), pinned
+        return coeff * (-GEOMETRY.side_omega_degree(side_tag)), pinned
     if {k1, k2} == {"move", "pair"}:
         mv_move, mv_pair = (mv1, mv2) if k1 == "move" else (mv2, mv1)
         if mv_move[1] == mv_pair[1] and mv_move[2] in mv_pair[2:]:
@@ -751,9 +721,8 @@ def _relocate_and_apply(node: NodeClass, original: NodeClass, move):
     return _insert_omega(node, side_name, idx)
 
 
-def mul_gamma_node(node: NodeClass, geo: SurfaceGeometry | None = None) -> TautExpr:
+def mul_gamma_node(node: NodeClass) -> TautExpr:
     """Gamma^[m] . (node class)."""
-    geo = geo or default_geometry()
     out = TautExpr(node.m)
     if node.gamma_power == 0:
         out.add(_edit(node, gamma_power=1), Fraction(-1))
@@ -770,24 +739,23 @@ def mul_gamma_node(node: NodeClass, geo: SurfaceGeometry | None = None) -> TautE
             out.add(moved, Fraction(-(a + b)))
     for t1 in first:
         for t2 in second:
-            resolved = _resolve_c2(scroll, t1, t2, geo)
+            resolved = _resolve_c2(scroll, t1, t2)
             if resolved is not None:
                 coeff, gen = resolved
                 out.add(gen, coeff)
     return out
 
 
-def mul_gamma(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
-    geo = geo or default_geometry()
-    images = shared_table("gamma", geo)
+def mul_gamma(expr: TautExpr) -> TautExpr:
+    images = shared_table("gamma")
     out = TautExpr(expr.m)
     for gen, coeff in expr.terms.items():
         piece = images.get(gen)
         if piece is None:
             if isinstance(gen, DiagMonomial):
-                piece = mul_gamma_diag(gen, geo)
+                piece = mul_gamma_diag(gen)
             else:
-                piece = mul_gamma_node(gen, geo)
+                piece = mul_gamma_node(gen)
             images[gen] = piece
         for g2, c2 in piece.terms.items():
             out.add(g2, coeff * c2)
@@ -797,9 +765,8 @@ def mul_gamma(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
 # -- level maps ---------------------------------------------------------
 
 
-def pullback(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
+def pullback(expr: TautExpr) -> TautExpr:
     """Pull back along W^(m+1) -> W^m (forget the new last slot)."""
-    geo = geo or default_geometry()
     m = expr.m + 1
     out = TautExpr(m)
     for gen, coeff in expr.terms.items():
@@ -833,9 +800,8 @@ def pullback(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
     return out
 
 
-def pushforward(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
+def pushforward(expr: TautExpr) -> TautExpr:
     """Push forward along W^m -> W^(m-1), integrating out the last slot."""
-    geo = geo or default_geometry()
     m = expr.m
     if m < 2:
         raise ValueError("cannot push below the first level")
@@ -858,24 +824,23 @@ def pushforward(expr: TautExpr, geo: SurfaceGeometry | None = None) -> TautExpr:
         rest = DiagMonomial._new(m - 1, [b for t, b in enumerate(gen.blocks)
                                          if t != idx])
         if key == "pt":
-            for g2, c2 in mul_class(rest, 1, "f", geo).terms.items():
+            for g2, c2 in mul_class(rest, 1, "f").terms.items():
                 out.add(g2, coeff * c2)
             continue
         if key == "pin":
             raise UnsupportedProductError("pinned side points have no level map")
-        out.add(rest, coeff * _fibre_deg(key, geo))
+        out.add(rest, coeff * _fibre_deg(key))
     return out
 
 
-def _fibre_deg(key, geo):
-    if key not in geo.fibre_degrees:
+def _fibre_deg(key):
+    if key not in GEOMETRY.fibre_degrees:
         raise KeyError(f"no fibre degree registered for divisor {key!r}")
-    return geo.fibre_degrees[key]
+    return GEOMETRY.fibre_degrees[key]
 
 
-def integrate(expr: TautExpr, geo: SurfaceGeometry | None = None) -> CharacterPolynomial:
+def integrate(expr: TautExpr) -> CharacterPolynomial:
     """Integral over W^m of a dimension-0 expression."""
-    geo = geo or default_geometry()
     if not expr.is_zero() and expr.codim() != expr.m + 1:
         raise DimensionError(
             f"expected codimension {expr.m + 1}, got {expr.codim()}")
@@ -887,27 +852,27 @@ def integrate(expr: TautExpr, geo: SurfaceGeometry | None = None) -> CharacterPo
             continue
         if gen.gamma_power == 0:
             raise DimensionError("node scrolls never reach dimension 0")
-        value = geo.node_count(gen.flavor)
+        value = GEOMETRY.node_count(gen.flavor)
         for slots, key in gen.jblocks + gen.kblocks:
             if key == "pin":
                 continue
             if _key_degree(key) != 1:
                 raise DimensionError("side block of degree != 1 at dimension 0")
-            value = value * _fibre_deg(key, geo)
+            value = value * _fibre_deg(key)
         total = total + coeff * value
-    return total + _push_down(diag_part, (), geo)
+    return total + _push_down(diag_part, ())
 
 
-def _push_down(expr: TautExpr, lower, geo) -> CharacterPolynomial:
+def _push_down(expr: TautExpr, lower) -> CharacterPolynomial:
     """Push to the first level, reading off the point class there.
 
     After each pushforward the Gammas of `lower` at the new level are
     applied; this is how factors below a seeded level are evaluated.
     """
     for k in range(expr.m - 1, 0, -1):
-        expr = pushforward(expr, geo)
+        expr = pushforward(expr)
         for _ in range(lower.count(k)):
-            expr = mul_gamma(expr, geo)
+            expr = mul_gamma(expr)
     total = CharacterPolynomial.zero()
     for gen, coeff in expr.terms.items():
         if gen.blocks and gen.blocks[0][1] == "pt":
@@ -960,7 +925,7 @@ def _expand(factors, m: int):
     return words, classes, seed
 
 
-def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
+def _eval_up(levels, classes, seed, m: int) -> TautExpr:
     """Up pass: from the seed's level, or the lowest Gamma, up to level m.
 
     The Gammas at each level are applied before pulling back; Gammas
@@ -971,16 +936,16 @@ def _eval_up(levels, classes, seed, m: int, geo) -> TautExpr:
     expr = seed if seed is not None else unit(start)
     for k in range(start, m + 1):
         for _ in range(levels.count(k)):
-            expr = mul_gamma(expr, geo)
+            expr = mul_gamma(expr)
         if k < m:
-            expr = pullback(expr, geo)
-    images = shared_table("class", geo)
+            expr = pullback(expr)
+    images = shared_table("class")
     for slot, key in classes:
         nxt = TautExpr(m)
         for gen, c in expr.terms.items():
             piece = images.get((gen, slot, key))
             if piece is None:
-                piece = images[gen, slot, key] = mul_class(gen, slot, key, geo)
+                piece = images[gen, slot, key] = mul_class(gen, slot, key)
             for g2, c2 in piece.terms.items():
                 nxt.add(g2, c * c2)
         expr = nxt
@@ -1065,7 +1030,7 @@ def _merge_words(words, m: int, integral: bool) -> list:
 
 
 @shares_work
-def _integrate_words(words, m: int, geo) -> CharacterPolynomial:
+def _integrate_words(words, m: int) -> CharacterPolynomial:
     """Integral over W^m of a sum of (coefficient, factors) words.
 
     Each distinct merged piece is evaluated once: up to level m, then
@@ -1073,19 +1038,19 @@ def _integrate_words(words, m: int, geo) -> CharacterPolynomial:
     """
     total = CharacterPolynomial.zero()
     for levels, classes, seed, coeff in _merge_words(words, m, True):
-        expr = _eval_up(levels, classes, seed, m, geo)
+        expr = _eval_up(levels, classes, seed, m)
         lower = [k for k in levels if seed is not None and k < seed.m]
-        value = _push_down(expr, lower, geo) if lower else integrate(expr, geo)
+        value = _push_down(expr, lower) if lower else integrate(expr)
         total = total + coeff * value
     return total
 
 
 @shares_work
-def _normal_words(words, m: int, geo) -> TautExpr:
+def _normal_words(words, m: int) -> TautExpr:
     """Normal form at level m of a sum of (coefficient, factors) words."""
     out = TautExpr(m)
     for levels, classes, seed, coeff in _merge_words(words, m, False):
-        for gen, c in _eval_up(levels, classes, seed, m, geo).terms.items():
+        for gen, c in _eval_up(levels, classes, seed, m).terms.items():
             out.add(gen, c * coeff)
     return out
 
@@ -1097,21 +1062,20 @@ def _with_seed(factors, seed):
     return [(CharacterPolynomial.one(), factors)]
 
 
-def expand_monomial(factors, m: int, geo: SurfaceGeometry | None = None,
+def expand_monomial(factors, m: int,
                     seed: TautExpr | None = None) -> TautExpr:
     """Normal form of a product word at level m.
 
     Factors: ("gamma", k) for Gamma^[k], ("delta", k) for Delta^(k) =
     Gamma^[k] - Gamma^[k-1], ("smalldiag",) for the small-diagonal
     correction, ("class", slot, key) for a slot class named by its block
-    key ("L", "omega", "f", "pt" or a registered divisor).  An optional seed
+    key ("L", "omega", "f", "pt" or another divisor).  An optional seed
     expression starts the pipeline at its own level.
     """
-    return _normal_words(_with_seed(factors, seed), m,
-                         geo or default_geometry())
+    return _normal_words(_with_seed(factors, seed), m)
 
 
-def integrate_word(factors, m: int, geo: SurfaceGeometry | None = None,
+def integrate_word(factors, m: int,
                    seed: TautExpr | None = None) -> CharacterPolynomial:
     """Integral over W^m of a product word.
 
@@ -1119,14 +1083,12 @@ def integrate_word(factors, m: int, geo: SurfaceGeometry | None = None,
     seeded level, by pushing the evaluated top part down level by
     level (node scrolls are contracted along the way).
     """
-    return _integrate_words(_with_seed(factors, seed), m,
-                            geo or default_geometry())
+    return _integrate_words(_with_seed(factors, seed), m)
 
 
 @shares_work
-def chern_taut(m: int, geo: SurfaceGeometry | None = None) -> list:
+def chern_taut(m: int) -> list:
     """Graded pieces of prod_i (1 + L^(i) - Delta^(i))."""
-    geo = geo or default_geometry()
     # (degree, sign, factors) for every way to pick one summand per slot
     picks = [(0, 1, ())]
     for i in range(1, m + 1):
@@ -1138,7 +1100,7 @@ def chern_taut(m: int, geo: SurfaceGeometry | None = None) -> list:
     words = [[] for _ in range(m + 2)]
     for degree, sign, factors in picks:
         words[degree].append((sign, factors))
-    return [_normal_words(w, m, geo) for w in words]
+    return [_normal_words(w, m) for w in words]
 
 
 # -- rendering ----------------------------------------------------------

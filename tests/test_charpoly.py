@@ -54,6 +54,11 @@ def test_power():
     w = symbol("omega2")
     assert w ** 3 == w * w * w
     assert w ** 0 == CharacterPolynomial.one()
+    p = w - 2 * symbol("sigma") + Fraction(1, 3)
+    product = CharacterPolynomial.one()
+    for n in range(12):
+        assert p ** n == product
+        product = product * p
     with pytest.raises(ValueError):
         w ** -1
 

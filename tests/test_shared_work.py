@@ -17,7 +17,6 @@ import tautcalc
 from tautcalc import cli, polyoracle, tautring
 from tautcalc.exprparse import evaluate_integral, evaluate_normal
 from tautcalc.schubert import nsec3_terms
-from tautcalc.surface import SurfaceGeometry
 from test_golden import DATA, cases, line
 
 
@@ -40,7 +39,7 @@ def computed(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for name in ("mul_gamma_diag", "mul_gamma_node"):
-        counting(tautring, name, lambda gen, geo: ("gamma", gen, geo))
+        counting(tautring, name, lambda gen: ("gamma", gen))
     counting(polyoracle, "vdm_det", lambda m, i: ("vdm", m, i))
     return counts
 
@@ -118,16 +117,3 @@ def test_golden_renders_twice_in_one_scope():
 
     for got in both_passes():
         assert got == want
-
-
-def test_each_geometry_gets_its_own_images_in_one_scope():
-    other = SurfaceGeometry(pairing={("L", "L"): 5, ("L", "omega"): 7})
-    word = "L(1)*L(2)*Delta<2>*Delta<3>"
-
-    @tautcalc.shares_work
-    def both():
-        return [(evaluate_integral(word, 3).render(),
-                 evaluate_integral(word, 3, other).render())
-                for _ in range(2)]
-
-    assert both() == [("2*L2", "10")] * 2

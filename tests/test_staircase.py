@@ -7,6 +7,7 @@ import pytest
 
 from tautcalc.staircase import (
     _beta_cached,
+    _reduce,
     GenericityError,
     InfiniteColengthError,
     alpha,
@@ -17,9 +18,13 @@ from tautcalc.staircase import (
     leading_monomial,
     minimalize,
     monomial_poly,
-    normal_form,
     printed_alpha_closed_form,
 )
+
+
+def normal_form(p, basis):
+    """Fully reduce p against the basis."""
+    return _reduce(p, basis, [leading_monomial(g) for g in basis])
 
 
 def beta_total(m: int, etas=(Fraction(1), Fraction(2))) -> int:

@@ -4,16 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from tautcalc.charpoly import CharacterPolynomial, symbol
-from tautcalc.surface import (
-    SurfaceGeometry,
-    default_geometry,
-    parse_character_config,
-)
+from tautcalc.charpoly import symbol
+from tautcalc.surface import GEOMETRY, parse_character_config
 
 
 def test_pairing_table():
-    geo = default_geometry()
+    geo = GEOMETRY
     assert geo.pair("omega", "omega") == symbol("omega2")
     assert geo.pair("omega", "L") == symbol("omegaL")
     assert geo.pair("L", "omega") == symbol("omegaL")
@@ -24,7 +20,7 @@ def test_pairing_table():
 
 
 def test_fibre_degrees():
-    geo = default_geometry()
+    geo = GEOMETRY
     assert geo.fibre_degrees["omega"] == symbol("g2")
     assert geo.fibre_degrees["L"] == symbol("dL")
     assert geo.fibre_degrees["f"].is_zero()
@@ -32,38 +28,20 @@ def test_fibre_degrees():
 
 def test_pairing_against_fibre_matches_fibre_degree():
     # any divisor paired with f must reproduce its fibre degree
-    geo = default_geometry()
+    geo = GEOMETRY
     for d in ("omega", "L", "f"):
         assert geo.pair(d, "f") == geo.fibre_degrees[d]
 
 
-def test_user_divisor():
-    geo = SurfaceGeometry(
-        pairing={("E", "E"): CharacterPolynomial.constant(-1),
-                 ("E", "omega"): 1, ("E", "L"): 0, ("E", "f"): 0},
-        fibre_degrees={"E": 0},
-    )
-    assert geo.pair("E", "E") == CharacterPolynomial.constant(-1)
-    assert geo.pair("E", "omega") == CharacterPolynomial.one()
-    assert geo.pair("omega", "E") == CharacterPolynomial.one()
-    assert geo.fibre_degrees["E"].is_zero()
-
-
 def test_unregistered_pairing_rejected():
-    geo = SurfaceGeometry()
     with pytest.raises(KeyError):
-        geo.pair("Z", "omega")
+        GEOMETRY.pair("Z", "omega")
 
 
 def test_node_flavors():
-    geo = default_geometry()
-    assert geo.node_count("reducible") == symbol("sigma")
-    with pytest.raises(KeyError):
-        geo.node_count("irreducible")
-    mixed = SurfaceGeometry(
-        node_flavors=(("reducible", symbol("sigma")), ("irreducible", 2))
-    )
-    assert mixed.node_count("irreducible") == CharacterPolynomial.constant(2)
+    assert GEOMETRY.node_count("reducible") == symbol("sigma")
+    with pytest.raises(KeyError, match="geometry has no 'irreducible' nodes"):
+        GEOMETRY.node_count("irreducible")
 
 
 def test_character_config_parsing():
