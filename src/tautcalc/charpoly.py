@@ -89,9 +89,6 @@ class CharacterPolynomial:
             raise ValueError(f"not a constant: {self}")
         return self._terms.get((), Fraction(0))
 
-    def coefficient(self, mono: tuple[str, ...]) -> Rational:
-        return self._terms.get(tuple(sorted(mono)), Fraction(0))
-
     def terms(self) -> dict[tuple[str, ...], Rational]:
         return dict(self._terms)
 

@@ -57,10 +57,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _rational(text: str) -> Fraction:
+    # the type of --eta: a nonzero rational
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"bad rational {text!r}")
+    if not value:
+        raise _UsageError("eta must be nonzero")
+    return value
 
 
 def _load_assignment(path: str | None) -> dict:
@@ -611,7 +615,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:
-        # the surface has no pairing, degree or node count for a key
+        # the surface has no pairing or fibre degree for a key
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ Grammar (whitespace insensitive):
     atom    := 'Gamma' '<' INT '>'
              | 'Delta' '<' INT '>'
              | 'q' '[' blocks ']' '(' keys ')'
-             | ('F' | 'NS') '(' profile ')' ['@irr']
+             | ('F' | 'NS') '(' profile ')'
              | NAME '(' INT ')'          slot class, e.g. L(2)
              | NAME                      registered character constant
 
@@ -25,6 +25,8 @@ the colliding slots split across the two branches, then the side
 blocks on each component.  The short form `F(13:)` with no branch bar
 stands for the sum of all complete unit fillings of the remaining
 slots.  Slot digits are read individually, so levels stay below ten.
+A tag after a profile, such as `@irr`, is refused at its `@`: every
+node of the surface lies on a reducible fibre.
 
 The parser validates every slot and level index against the declared
 level and reports error positions on the original text.
@@ -259,28 +261,19 @@ class _Parser:
             split = len(first)
         self.expect(":")
         jblocks, kblocks = (), ()
-        reducible = True
         if self.peek()[0] != ")":
             jblocks = self.side_blocks()
-        if self.peek()[0] == "|":
+        second_side = self.peek()[0] == "|"
+        if second_side:
             self.next()
             kblocks = self.side_blocks()
-        elif split is not None:
-            # explicit profiles always carry the branch bar for the
-            # second side unless marked irreducible
-            reducible = False
         self.expect(")")
-        flavor = "reducible"
         if self.peek()[0] == "@":
-            self.next()
-            tag = self.expect("NAME")
-            if tag[1] != "irr":
-                raise ParseError(f"unknown tag {tag[1]!r}", tag[2], self.text)
-            flavor = "irreducible"
-        elif split is not None and not reducible:
+            self.fail("node profiles take no tag: the surface has no"
+                      " irreducible nodes")
+        if split is not None and not second_side:
             self.fail("explicit reducible profiles need the second side bar")
-        I = first + tail
-        return ("node", I, split, jblocks, kblocks, flavor, gamma_power)
+        return ("node", first + tail, split, jblocks, kblocks, gamma_power)
 
     def digit_slots(self):
         tok = self.expect("INT")
@@ -329,12 +322,12 @@ def _seed(ast, m: int) -> TautExpr:
     if ast[0] == "diag":
         blocks = tuple((tuple(slots), key) for slots, key in ast[1])
         return TautExpr(m, {DiagMonomial(m, blocks): CharacterPolynomial.one()})
-    _tag, I, split, jblocks, kblocks, flavor, gamma_power = ast
+    _tag, I, split, jblocks, kblocks, gamma_power = ast
     if split is None:
         # short form: sum of complete unit fillings of the free slots
-        nodes = _unit_fillings(m, I, flavor, gamma_power)
+        nodes = _unit_fillings(m, I, gamma_power)
     else:
-        nodes = [NodeClass(m, I, split, jblocks, kblocks, flavor, gamma_power)]
+        nodes = [NodeClass(m, I, split, jblocks, kblocks, gamma_power)]
     return TautExpr(m, {node: CharacterPolynomial.one() for node in nodes})
 
 

@@ -1,12 +1,13 @@
 """Intersection data of the fibred surface and the `--chars` parser.
 
 The calculator works on one fixed surface, `GEOMETRY`: its numbers are
-the characters `sigma` (the nodes, all on reducible fibres), `omega2`,
-`omegaL`, `L2`, `dL` and `g2`, and the side degrees `g2J`, `g2K`.  A
-slot class is named by its block key (see `tautring`): "omega", "L"
-and "f" are the divisors the surface pairs, "pt" the point class.  A
-divisor of any other name has no pairing and no fibre degree, so a
-normal form may carry it but an integral of it is refused.
+the characters `sigma` (the nodes, each joining the two components of a
+reducible fibre; the surface has no other kind), `omega2`, `omegaL`,
+`L2`, `dL` and `g2`, and the side degrees `g2J`, `g2K` of those two
+components.  A slot class is named by its block key (see `tautring`):
+"omega", "L" and "f" are the divisors the surface pairs, "pt" the
+point class.  A divisor of any other name has no pairing and no fibre
+degree, so a normal form may carry it but an integral of it is refused.
 """
 from __future__ import annotations
 
@@ -18,9 +19,9 @@ from .charpoly import CharacterPolynomial, Rational, symbol
 class SurfaceGeometry:
     """Intersection data of the fibred surface.
 
-    Holds the divisor pairing table, fibre degrees, the node count per
-    singular-fibre flavor, and the omega-degrees on the two sides of a
-    generic node (needed when a node class self-intersects).
+    Holds the divisor pairing table, fibre degrees, the node count
+    `sigma`, and the omega-degrees on the two sides of a generic node
+    (needed when a node class self-intersects).
     """
 
     def __init__(self):
@@ -35,7 +36,7 @@ class SurfaceGeometry:
             ("L", "f"): dL,
         }
         self.fibre_degrees = {"omega": g2, "L": dL, "f": CharacterPolynomial.zero()}
-        self.node_counts = {"reducible": symbol("sigma")}
+        self.node_count = symbol("sigma")
         self.side_degrees = {"J": symbol("g2J"), "K": symbol("g2K")}
 
     def pair(self, a: str, b: str) -> CharacterPolynomial:
@@ -43,11 +44,6 @@ class SurfaceGeometry:
         if key not in self.pairing:
             raise KeyError(f"no pairing registered for divisors {a!r}, {b!r}")
         return self.pairing[key]
-
-    def node_count(self, flavor: str) -> CharacterPolynomial:
-        if flavor not in self.node_counts:
-            raise KeyError(f"geometry has no {flavor!r} nodes")
-        return self.node_counts[flavor]
 
     def side_omega_degree(self, side: str) -> CharacterPolynomial:
         return self.side_degrees[side]
@@ -62,10 +58,12 @@ def parse_character_config(text: str) -> dict[str, Rational]:
     """Parse `key = value` assignments for the six standard characters.
 
     Values are rationals; the literal `sym` leaves a character symbolic
-    (the key is simply skipped).  Unknown keys are rejected.
+    (the key is simply skipped).  Unknown keys, and a key assigned on two
+    lines, are rejected.
     """
     allowed = {"sigma", "omega2", "omegaL", "L2", "dL", "g2"}
     out: dict[str, Rational] = {}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,6 +74,9 @@ def parse_character_config(text: str) -> dict[str, Rational]:
         key, value = key.strip(), value.strip()
         if key not in allowed:
             raise ValueError(f"line {lineno}: unknown character {key!r}")
+        if key in seen:
+            raise ValueError(f"line {lineno}: character {key!r} assigned twice")
+        seen.add(key)
         if value == "sym":
             continue
         try:

@@ -26,11 +26,12 @@ when a generator is built.
 
 The Gamma.NS rewrite uses the self-intersection relation on a scroll.
 Its bundle has two line-bundle factors a and b, so c1 = a + b and
-c2 = a.b are both read off the same two factor lists.  Their
-coefficients distinguish the top slot m of the level from the other
-slots (the tower is built by adjoining one slot at a time, and the
-last slot carries one extra twist); the uniform table one might guess
-instead fails every cross-check of the integral battery.
+c2 = a.b are both read off one list of moves, each carrying its
+coefficient in a and in b.  Those coefficients distinguish the top
+slot m of the level from the other slots (the tower is built by
+adjoining one slot at a time, and the last slot carries one extra
+twist); the uniform table one might guess instead fails every
+cross-check of the integral battery.
 
 Work is shared within one call or one command, never across them.  The
 word evaluators behind `integrate_word` and `expand_monomial`, and
@@ -218,16 +219,13 @@ class NodeClass:
     by a key of degree <= 1.  The profile must cover [1, m].
     """
 
-    __slots__ = ("m", "I", "split", "jblocks", "kblocks", "flavor",
-                 "gamma_power", "_key", "_codim", "_hash")
+    __slots__ = ("m", "I", "split", "jblocks", "kblocks", "gamma_power",
+                 "_key", "_codim", "_hash")
 
-    def __init__(self, m, I, split, jblocks=(), kblocks=(),
-                 flavor="reducible", gamma_power=0):
+    def __init__(self, m, I, split, jblocks=(), kblocks=(), gamma_power=0):
         I = tuple(sorted(I))
         if not 1 <= split <= len(I) - 1:
             raise ValueError(f"split {split} invalid for |I| = {len(I)}")
-        if flavor == "irreducible" and kblocks:
-            raise ValueError("irreducible profiles keep all side blocks in J")
         if gamma_power not in (0, 1):
             raise ValueError("gamma_power is 0 or 1")
         jblocks = _side([(tuple(sorted(slots)), key) for slots, key in jblocks])
@@ -242,11 +240,10 @@ class NodeClass:
                 covered.add(s)
         if covered != set(range(1, m + 1)):
             raise ValueError("node profile must cover every slot")
-        self._fill(m, I, split, jblocks, kblocks, flavor, gamma_power)
+        self._fill(m, I, split, jblocks, kblocks, gamma_power)
 
     @classmethod
-    def _new(cls, m, I, split, jblocks, kblocks, flavor,
-             gamma_power) -> "NodeClass":
+    def _new(cls, m, I, split, jblocks, kblocks, gamma_power) -> "NodeClass":
         """Rewrite output: a valid split and a disjoint, covering profile.
 
         The rewrite rules keep these by construction, so only the
@@ -255,21 +252,20 @@ class NodeClass:
         """
         node = object.__new__(cls)
         node._fill(m, tuple(sorted(I)), split, _side(jblocks), _side(kblocks),
-                   flavor, gamma_power)
+                   gamma_power)
         return node
 
-    def _fill(self, m, I, split, jblocks, kblocks, flavor, gamma_power):
+    def _fill(self, m, I, split, jblocks, kblocks, gamma_power):
         self.m = m
         self.I = I
         self.split = split
         self.jblocks = jblocks
         self.kblocks = kblocks
-        self.flavor = flavor
         self.gamma_power = gamma_power
         degs = sum(_key_degree(k) for _, k in jblocks + kblocks)
         dim = len(jblocks) + len(kblocks) + 1 - gamma_power - degs
         self._codim = m + 1 - dim
-        self._key = (m, I, split, jblocks, kblocks, flavor, gamma_power)
+        self._key = (m, I, split, jblocks, kblocks, gamma_power)
         self._hash = hash(("node",) + self._key)
 
     def codim(self) -> int:
@@ -298,13 +294,7 @@ class NodeClass:
                 parts.append(body)
             return ",".join(parts)
 
-        body = f"{i1}|{i2}:{side(self.jblocks)}"
-        if self.flavor == "reducible":
-            body += f"|{side(self.kblocks)}"
-        out = f"{name}({body})"
-        if self.flavor != "reducible":
-            out += "@irr"
-        return out
+        return f"{name}({i1}|{i2}:{side(self.jblocks)}|{side(self.kblocks)})"
 
     def __repr__(self):
         return f"NodeClass({self.render()}, m={self.m})"
@@ -365,11 +355,8 @@ class TautExpr:
     def __hash__(self):
         return hash((self.m, frozenset(self.terms.items())))
 
-    def render(self) -> str:
-        return render_expr(self)
-
     def __repr__(self):
-        return f"TautExpr(m={self.m}, {self.render()})"
+        return f"TautExpr(m={self.m}, {render_expr(self)})"
 
 
 def _as_char(value) -> CharacterPolynomial:
@@ -462,21 +449,18 @@ def mul_gamma_diag(mono: DiagMonomial) -> TautExpr:
             continue
         others = ([(bk[0], bk[1]) for k2, bk in enumerate(mono.blocks) if k2 != idx]
                   + [((s,), "1") for s in free])
-        # the surface's nodes all lie on reducible fibres
-        assignments = _distributions(others, True)
+        assignments = _distributions(others)
         for split_j in range(1, size):
             # the staircase weight beta(size, split_j), in closed form
             w = size * split_j * (size - split_j) // 2
             for jside, kside in assignments:
-                out.add(NodeClass._new(m, slots, split_j, jside, kside,
-                                       "reducible", 0), Fraction(w))
+                out.add(NodeClass._new(m, slots, split_j, jside, kside, 0),
+                        Fraction(w))
     return out
 
 
-def _distributions(blocks, reducible: bool):
-    """All ways to lay the remaining blocks on the side components."""
-    if not reducible:
-        return [(tuple(blocks), ())]
+def _distributions(blocks):
+    """All ways to lay the remaining blocks on the two side components."""
     out = []
     n = len(blocks)
     for mask in range(1 << n):
@@ -489,7 +473,7 @@ def _distributions(blocks, reducible: bool):
 # -- node profile edits -------------------------------------------------
 
 
-def _unit_fillings(m: int, I, flavor: str, gamma_power: int) -> list:
+def _unit_fillings(m: int, I, gamma_power: int) -> list:
     """Every node class on I with the other slots as unit singletons.
 
     Split 1, the other slots laid on the sides in every way.  Built
@@ -497,8 +481,8 @@ def _unit_fillings(m: int, I, flavor: str, gamma_power: int) -> list:
     `F(13:)` hands its colliding slots straight in.
     """
     others = [((s,), "1") for s in range(1, m + 1) if s not in I]
-    return [NodeClass(m, I, 1, jside, kside, flavor, gamma_power)
-            for jside, kside in _distributions(others, flavor == "reducible")]
+    return [NodeClass(m, I, 1, jside, kside, gamma_power)
+            for jside, kside in _distributions(others)]
 
 
 def _edit(node: NodeClass, side_name=None, side=(), m=None, I=None,
@@ -516,7 +500,7 @@ def _edit(node: NodeClass, side_name=None, side=(), m=None, I=None,
     return NodeClass._new(node.m if m is None else m,
                           node.I if I is None else I,
                           node.split if split is None else split,
-                          jblocks, kblocks, node.flavor,
+                          jblocks, kblocks,
                           node.gamma_power if gamma_power is None
                           else gamma_power)
 
@@ -572,153 +556,94 @@ def mul_class(gen, slot: int, key: str) -> TautExpr:
 # -- Gamma on node classes ----------------------------------------------
 
 
-def _chern_exponent(side: str, has_top: bool, split: int, r: int,
-                    which: str) -> int:
-    # exponent of one line-bundle factor; the two sum to the c1 twist
-    if side == "J":
-        if which == "first":
-            return split if has_top else split - 1
-        return split + 1 if has_top else split
-    if which == "first":
-        return r - split + 1 if has_top else r - split
-    return r - split if has_top else r - split - 1
+def _chern_exponents(side_name: str, has_top: bool, split: int,
+                     r: int) -> tuple:
+    # exponents of the two line-bundle factors at one side point; they
+    # sum to the c1 twist, and the top slot adds one to both
+    if side_name == "jblocks":
+        e = split - 1 + has_top
+        return e, e + 1
+    e = r - split - 1 + has_top
+    return e + 1, e
 
 
-def _move_block(node: NodeClass, side_name: str, idx: int,
-                target_side: str):
-    """Slide a whole unit side block into the node; None if decorated."""
-    side = getattr(node, side_name)
-    slots, key = side[idx]
-    if key != "1":
-        return None
-    split = node.split + (len(slots) if target_side == "J" else 0)
-    return _edit(node, side_name, side[:idx] + side[idx + 1:],
-                 I=node.I + slots, split=split)
+def _chern_factors(node: NodeClass) -> list:
+    """The two line-bundle divisors a, b of the scroll bundle, side by side.
 
-
-def _merge_side_blocks(node: NodeClass, side_name: str, ia: int, ib: int,
-                       pin: bool = False):
-    side = getattr(node, side_name)
-    (sa, ka), (sb, kb) = side[ia], side[ib]
-    if pin:
-        if ka != "1" or kb != "1":
-            return None
-        key = "pin"
-    elif ka == "1":
-        key = kb
-    elif kb == "1":
-        key = ka
-    else:
-        return None
-    new_side = [b for t, b in enumerate(side) if t not in (ia, ib)]
-    new_side.append((tuple(sorted(sa + sb)), key))
-    return _edit(node, side_name, new_side)
-
-
-def _insert_omega(node: NodeClass, side_name: str, idx: int):
-    side = getattr(node, side_name)
-    slots, key = side[idx]
-    if key != "1":
-        return None
-    new_side = list(side)
-    new_side[idx] = (slots, "omega")
-    return _edit(node, side_name, new_side)
-
-
-def _chern_factor(node: NodeClass, which: str):
-    """One of the two line-bundle divisors a, b of the scroll bundle.
-
-    Returns (coeff, move) pairs.  Moves are ("move", side_name, idx,
-    target, element) per element of each side block, ("pair",
-    side_name, ia, ib) for cross-block joins and ("omega", side_name,
-    idx) with weight binom(|B|, 2) for within-block pairs.  Both
-    factors list the same moves in the same order, so c1 = a + b and
-    c2 = a.b are read off the two lists side by side.
+    Returns (a, b, move) triples, a and b the move's coefficients in
+    the two factors, so c1 = a + b and c2 = a.b are read off one list.
+    A move names its blocks by their slots: ("move", side_name, slots)
+    slides a block into the node, once per element with the exponents
+    of `_chern_exponents`; ("pair", side_name, sa, sb) joins two blocks;
+    ("omega", side_name, slots), with weight binom(|B|, 2), stands for
+    the pairs within one block.
     """
     r = len(node.I)
-    split = node.split
     terms = []
-    if node.flavor == "reducible":
-        sides = [("jblocks", ["J"]), ("kblocks", ["K"])]
-    else:
-        # one side component, both branch approaches available
-        sides = [("jblocks", ["J", "K"])]
-    for side_name, targets in sides:
+    for side_name in ("jblocks", "kblocks"):
         side = getattr(node, side_name)
-        for idx, (slots, _key) in enumerate(side):
+        for slots, _key in side:
             for a in slots:
-                for target in targets:
-                    e = _chern_exponent(target, a == node.m, split, r, which)
-                    terms.append((-e, ("move", side_name, idx, target, a)))
-        for ia, ib in combinations(range(len(side)), 2):
-            terms.append((-1, ("pair", side_name, ia, ib)))
-        for idx, (slots, _key) in enumerate(side):
+                ea, eb = _chern_exponents(side_name, a == node.m, node.split, r)
+                terms.append((-ea, -eb, ("move", side_name, slots)))
+        for (sa, _ka), (sb, _kb) in combinations(side, 2):
+            terms.append((-1, -1, ("pair", side_name, sa, sb)))
+        for slots, _key in side:
             if len(slots) >= 2:
-                terms.append((-comb(len(slots), 2), ("omega", side_name, idx)))
+                w = -comb(len(slots), 2)
+                terms.append((w, w, ("omega", side_name, slots)))
     return terms
 
 
 def _apply_move(node: NodeClass, move):
-    kind = move[0]
-    if kind == "move":
-        return _move_block(node, move[1], move[2], move[3])
-    if kind == "pair":
-        return _merge_side_blocks(node, move[1], move[2], move[3])
-    return _insert_omega(node, move[1], move[2])
+    """The node after one move (or a "pin" join); None if it vanishes.
 
-
-def _resolve_c2(node: NodeClass, t1, t2):
-    """Product of two Chern-factor terms on the scroll; see (coeff, node)."""
-    c1, mv1 = t1
-    c2, mv2 = t2
-    coeff = _as_char(Fraction(c1 * c2))
-    k1, k2 = mv1[0], mv2[0]
-    if k1 == k2 == "move" and mv1[1:3] == mv2[1:3]:
-        return None  # a node-section class squares to zero on the base
-    if k1 == k2 == "omega" and mv1 == mv2:
+    A move's blocks are found by their slots, also after an earlier move
+    joined them into a larger block; a block that went into the node is
+    gone, and the move with it.  A join keeps the key of a decorated
+    block if only one is; every other move needs unit blocks.
+    """
+    kind, side_name = move[:2]
+    side = getattr(node, side_name)
+    found = [_find_block(side, slots) for slots in move[2:]]
+    if None in found:
         return None
-    if (k1 == k2 == "pair" and mv1[1] == mv2[1]
-            and {mv1[2], mv1[3]} == {mv2[2], mv2[3]}):
+    keys = [side[t][1] for t in found if side[t][1] != "1"]
+    if len(keys) > (kind == "pair"):
+        return None
+    slots = tuple(sorted(s for t in found for s in side[t][0]))
+    rest = [b for t, b in enumerate(side) if t not in found]
+    if kind == "move":
+        # a J block approaches along the first branch
+        split = node.split + (len(slots) if side_name == "jblocks" else 0)
+        return _edit(node, side_name, rest, I=node.I + slots, split=split)
+    key = keys[0] if keys else ("1" if kind == "pair" else kind)
+    return _edit(node, side_name, rest + [(slots, key)])
+
+
+def _resolve_c2(node: NodeClass, coeff: int, mv1, mv2):
+    """Product of two Chern-factor moves on the scroll: (coeff, node).
+
+    A join is applied before the other move, so a block it joined
+    slides into the node together with its partner.
+    """
+    coeff = _as_char(Fraction(coeff))
+    if mv1 == mv2:
+        if mv1[0] != "pair":
+            return None  # a node-section class squares to zero on the base
         # the squared join contributes minus the side omega-degree
-        side_tag = "J" if mv1[1] == "jblocks" else "K"
-        pinned = _merge_side_blocks(node, mv1[1], mv1[2], mv1[3], pin=True)
+        pinned = _apply_move(node, ("pin",) + mv1[1:])
         if pinned is None:
             return None
+        side_tag = "J" if mv1[1] == "jblocks" else "K"
         return coeff * (-GEOMETRY.side_omega_degree(side_tag)), pinned
-    if {k1, k2} == {"move", "pair"}:
-        mv_move, mv_pair = (mv1, mv2) if k1 == "move" else (mv2, mv1)
-        if mv_move[1] == mv_pair[1] and mv_move[2] in mv_pair[2:]:
-            # joining a pair at the node collapses to both blocks moving
-            other = mv_pair[2] if mv_move[2] == mv_pair[3] else mv_pair[3]
-            mv1, mv2 = mv_move, ("move", mv_move[1], other, mv_move[3])
-        else:
-            mv1, mv2 = mv_pair, mv_move
+    if mv2[0] == "pair":
+        mv1, mv2 = mv2, mv1
     first = _apply_move(node, mv1)
-    if first is None:
-        return None
-    second = _relocate_and_apply(first, node, mv2)
+    second = None if first is None else _apply_move(first, mv2)
     if second is None:
         return None
     return coeff, second
-
-
-def _relocate_and_apply(node: NodeClass, original: NodeClass, move):
-    """Re-find the blocks of a move after the profile changed."""
-    side_name = move[1]
-    orig_side = getattr(original, side_name)
-    side = getattr(node, side_name)
-    idx = _find_block(side, orig_side[move[2]][0])
-    if idx is None:
-        return None
-    if move[0] == "move":
-        return _move_block(node, side_name, idx, move[3])
-    if move[0] == "pair":
-        ib = _find_block(side, orig_side[move[3]][0])
-        if ib is None:
-            return None
-        if ib != idx:
-            return _merge_side_blocks(node, side_name, idx, ib)
-    return _insert_omega(node, side_name, idx)
 
 
 def mul_gamma_node(node: NodeClass) -> TautExpr:
@@ -731,15 +656,14 @@ def mul_gamma_node(node: NodeClass) -> TautExpr:
     # and c2 = a.b for the two factors; the first term turns each
     # scroll into minus its section
     scroll = _edit(node, gamma_power=0)
-    first = _chern_factor(scroll, "first")
-    second = _chern_factor(scroll, "second")
-    for (a, move), (b, _) in zip(first, second):
+    factors = _chern_factors(node)
+    for a, b, move in factors:
         moved = _apply_move(node, move)
         if moved is not None:
             out.add(moved, Fraction(-(a + b)))
-    for t1 in first:
-        for t2 in second:
-            resolved = _resolve_c2(scroll, t1, t2)
+    for a, _, mv1 in factors:
+        for _, b, mv2 in factors:
+            resolved = _resolve_c2(scroll, a * b, mv1, mv2)
             if resolved is not None:
                 coeff, gen = resolved
                 out.add(gen, coeff)
@@ -775,10 +699,7 @@ def pullback(expr: TautExpr) -> TautExpr:
             continue
         # every class gets the completions with the new slot as a unit
         # point on each side; sections also get polarization corrections
-        completions = ["jblocks"]
-        if gen.flavor == "reducible":
-            completions.append("kblocks")
-        for side_name in completions:
+        for side_name in ("jblocks", "kblocks"):
             side = getattr(gen, side_name) + (((m,), "1"),)
             out.add(_edit(gen, side_name, side, m=m), coeff)
         if gen.gamma_power == 0:
@@ -852,7 +773,7 @@ def integrate(expr: TautExpr) -> CharacterPolynomial:
             continue
         if gen.gamma_power == 0:
             raise DimensionError("node scrolls never reach dimension 0")
-        value = GEOMETRY.node_count(gen.flavor)
+        value = GEOMETRY.node_count
         for slots, key in gen.jblocks + gen.kblocks:
             if key == "pin":
                 continue
@@ -1119,7 +1040,7 @@ def _collapsed_groups(expr: TautExpr):
              and len(g.I) == 2]
     seen_groups = set()
     for gen in nodes:
-        group_key = (gen.m, gen.I, gen.flavor, gen.gamma_power)
+        group_key = (gen.m, gen.I, gen.gamma_power)
         if group_key in seen_groups:
             continue
         fillings = _unit_fillings(*group_key)
@@ -1131,8 +1052,6 @@ def _collapsed_groups(expr: TautExpr):
             del remaining[f]
         name = "NS" if gen.gamma_power else "F"
         label = name + "(%s:)" % "".join(str(s) for s in gen.I)
-        if gen.flavor != "reducible":
-            label += "@irr"
         collapsed.append((gen, label, coeffs[0]))
     return remaining, collapsed
 

@@ -245,7 +245,7 @@ def test_fibre_integral_property():
               CP.constant(rng.randint(-4, 4)))
         u.add(DiagMonomial(2, (((1,), "pt"), ((2,), "pt"))),
               CP.constant(rng.randint(-4, 4)))
-        u.add(NodeClass(2, (1, 2), 1, (), (), "reducible", 1),
+        u.add(NodeClass(2, (1, 2), 1, (), (), 1),
               CP.constant(rng.randint(-4, 4)))
         assert integrate_word([("delta", 3)], 3, seed=u) == 2 * integrate(u)
 
@@ -320,10 +320,10 @@ def test_property_suites():
             assert e.codim() == len(word)
 
     # orthogonality and side-marker saturation
-    ns = NodeClass(3, (1, 3), 1, (((2,), "1"),), (), "reducible", 0)
+    ns = NodeClass(3, (1, 3), 1, (((2,), "1"),), (), 0)
     assert mul_class(ns, 1, "L").is_zero()
     assert not mul_class(ns, 2, "L").is_zero()
-    marked = NodeClass(3, (1, 3), 1, (((2,), "omega"),), (), "reducible", 0)
+    marked = NodeClass(3, (1, 3), 1, (((2,), "omega"),), (), 0)
     assert mul_class(marked, 2, "L").is_zero()
 
     # parser round-trip on rendered normal forms

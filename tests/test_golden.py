@@ -78,7 +78,7 @@ def _rebuild(gen):
     if isinstance(gen, tautring.DiagMonomial):
         return tautring.DiagMonomial(gen.m, gen.blocks)
     return tautring.NodeClass(gen.m, gen.I, gen.split, gen.jblocks,
-                              gen.kblocks, gen.flavor, gen.gamma_power)
+                              gen.kblocks, gen.gamma_power)
 
 
 def test_rewrite_output_equals_its_public_rebuild(monkeypatch):

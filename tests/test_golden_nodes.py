@@ -3,10 +3,8 @@
 `tests/data/golden_nodes.txt` holds, for every valid node class at
 levels 2 and 3, the rendered images of `mul_gamma_node`, `pullback`
 and `mul_class(., s, L)` for every slot s, or the exception type and
-message, one per line; the 5040 level-4 lines are pinned by their
-sha256 on the file's last line.  Both node flavors are enumerated, so
-the irreducible branch is pinned too: node images never read the
-surface, whose nodes are all reducible, for a node count.
+message, one per line; the 3780 level-4 lines are pinned by their
+sha256 on the file's last line.
 Regenerate the file with `PYTHONPATH=src python tests/test_golden_nodes.py
 --write` only when a change is meant to move outputs, and say which
 lines moved and why.
@@ -15,7 +13,7 @@ A node class here is any profile the public constructor accepts: a
 colliding set I of two or more slots with every split, the other slots
 in blocks of any set partition, each block decorated by `1`, `omega` or
 `L` (or `pin`, which marks two joined side points and so needs two
-slots), laid on the sides in every way, with gamma power 0 and 1.
+slots), laid on the two sides in every way, with gamma power 0 and 1.
 """
 
 from __future__ import annotations
@@ -54,14 +52,11 @@ def node_classes(m: int) -> list:
             for split, part in product(range(1, r), _set_partitions(others)):
                 for keys in product(*[_keys(b) for b in part]):
                     blocks = list(zip(part, keys))
-                    for flavor in ("reducible", "irreducible"):
-                        sides = 2 if flavor == "reducible" else 1
-                        for d in product(range(sides), repeat=len(blocks)):
-                            j = [b for b, t in zip(blocks, d) if t == 0]
-                            k = [b for b, t in zip(blocks, d) if t == 1]
-                            for gp in (0, 1):
-                                out.append(tautring.NodeClass(
-                                    m, I, split, j, k, flavor, gp))
+                    for d in product((0, 1), repeat=len(blocks)):
+                        j = [b for b, t in zip(blocks, d) if t == 0]
+                        k = [b for b, t in zip(blocks, d) if t == 1]
+                        out += [tautring.NodeClass(m, I, split, j, k, gp)
+                                for gp in (0, 1)]
     return out
 
 
@@ -100,17 +95,17 @@ def transcript() -> list[str]:
 def test_node_images_match_the_golden_file():
     want = DATA.read_text(encoding="utf-8").splitlines()
     got = transcript()
-    assert len(got) == len(want) == 327
-    assert got[-1].split("\t")[2] == "5040"
+    assert len(got) == len(want) == 209
+    assert got[-1].split("\t")[2] == "3780"
     for g, w in zip(got, want):
         assert g == w
 
 
-def test_every_flavor_and_gamma_power_is_pinned():
+def test_every_gamma_power_is_pinned():
     counts = {m: len(node_classes(m)) for m in (2, 3, 4)}
-    assert counts == {2: 4, 3: 62, 4: 840}
+    assert counts == {2: 2, 3: 40, 4: 630}
     want = DATA.read_text(encoding="utf-8")
-    assert "@irr\tGamma\t" in want and "NS(" in want
+    assert "\tF(" in want and "\tNS(" in want
 
 
 if __name__ == "__main__":

@@ -86,9 +86,6 @@ class TestParseForms:
         e = evaluate_normal("NS(1|3:{2}(omega)|)", 3)
         assert render_expr(e) == "NS(1|3:{2}(omega)|)"
 
-    def test_irreducible_marker(self):
-        e = evaluate_normal("NS(1|23:)@irr", 3)
-        assert render_expr(e) == "NS(1|23:)@irr"
 
 
 class TestLikeWords:
@@ -153,6 +150,18 @@ class TestParseErrors:
     def test_truncated_input(self):
         with pytest.raises(ParseError, match="expected expression"):
             evaluate_normal("Delta<2>^2 + ", 2)
+
+    @pytest.mark.parametrize("argv, column", [
+        (["normalize", "-m", "3", "NS(1|23:)@irr"], 10),
+        (["normalize", "-m", "2", "F(1|2:)@irr"], 8),
+        (["integrate", "-m", "2", "NS(12:)@irr"], 8),
+    ])
+    def test_node_tag_refused_at_the_at_sign(self, argv, column):
+        # the surface's nodes all lie on reducible fibres
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: node profiles take no tag: the surface has no"
+                       f" irreducible nodes at line 1, column {column}\n")
 
 
 class TestCliValues:
@@ -282,12 +291,6 @@ class TestSlotClassNames:
         assert run_cli(["normalize", "-m", "2", "M(1)*Delta<2>"]) == (
             0, "q[{1,2}](M)\n", "")
 
-    def test_irreducible_nodes_have_no_count(self):
-        # @irr profiles parse and normalize, but the surface counts only
-        # reducible nodes, so their integrals are refused
-        code, out, err = run_cli(["integrate", "-m", "2", "NS(12:)@irr"])
-        assert (code, out) == (2, "")
-        assert err == "error: geometry has no 'irreducible' nodes\n"
 
 
 class TestCliFormats:
@@ -425,6 +428,7 @@ class TestCliExitCodes:
         (["schubert", "--box", "2,4", "--factors", "r2,c5"],
          "factor size 5 above 4: a special class fits in the box"),
         (["alpha", str(-10**40)], "a 41-digit negative level below 1"),
+        (["beta", "3", "--eta", "0"], "eta must be nonzero"),
     ])
     def test_subcommand_levels_out_of_range_exit_at_once(self, argv, message,
                                                          monkeypatch):

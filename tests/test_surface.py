@@ -38,10 +38,9 @@ def test_unregistered_pairing_rejected():
         GEOMETRY.pair("Z", "omega")
 
 
-def test_node_flavors():
-    assert GEOMETRY.node_count("reducible") == symbol("sigma")
-    with pytest.raises(KeyError, match="geometry has no 'irreducible' nodes"):
-        GEOMETRY.node_count("irreducible")
+def test_node_count():
+    # every node joins the two components of a reducible fibre
+    assert GEOMETRY.node_count == symbol("sigma")
 
 
 def test_character_config_parsing():
@@ -60,3 +59,6 @@ def test_character_config_parsing():
         parse_character_config("sigma : 1")
     with pytest.raises(ValueError):
         parse_character_config("sigma = x")
+    with pytest.raises(ValueError,
+                       match="^line 2: character 'sigma' assigned twice$"):
+        parse_character_config("sigma = 2\nsigma = 3\n")

@@ -54,11 +54,11 @@ def q(m, *blocks):
 
 
 def F(m, I, split, j=(), k=()):
-    return NodeClass(m, I, split, j, k, "reducible", 0)
+    return NodeClass(m, I, split, j, k, 0)
 
 
 def NS(m, I, split, j=(), k=()):
-    return NodeClass(m, I, split, j, k, "reducible", 1)
+    return NodeClass(m, I, split, j, k, 1)
 
 
 def G(k):
@@ -85,7 +85,7 @@ def ffill(m, I):
     for mask in range(1 << len(others)):
         j = tuple(((s,), "1") for t, s in enumerate(others) if not mask >> t & 1)
         k = tuple(((s,), "1") for t, s in enumerate(others) if mask >> t & 1)
-        out.append((NodeClass(m, I, 1, j, k, "reducible", 0), one))
+        out.append((NodeClass(m, I, 1, j, k, 0), one))
     return out
 
 
@@ -119,10 +119,6 @@ class TestGeneratorBasics:
     def test_node_profile_must_cover(self):
         with pytest.raises(ValueError):
             NodeClass(3, (1, 2), 1)
-
-    def test_irreducible_keeps_k_empty(self):
-        with pytest.raises(ValueError):
-            NodeClass(3, (1, 2), 1, (), (((3,), "1"),), "irreducible", 0)
 
     def test_render_profile(self):
         assert F(3, (1, 2), 1, j=(((3,), "1"),)).render() == "F(1|2:{3}|)"
@@ -616,7 +612,7 @@ class TestRuleHygiene:
         assert not got.is_zero()  # side slots accept one marker
 
     def test_side_marker_saturation(self):
-        marked = NodeClass(3, (1, 3), 1, (((2,), "omega"),), (), "reducible", 0)
+        marked = NodeClass(3, (1, 3), 1, (((2,), "omega"),), (), 0)
         assert mul_class(marked, 2, "L").is_zero()
 
     def test_scroll_coefficients_match_weights(self):
@@ -630,8 +626,7 @@ class TestRuleHygiene:
             row = beta(m)
             for split in range(1, m):
                 found = stepped.terms.get(NodeClass(m, tuple(range(1, m + 1)),
-                                                    split, (), (),
-                                                    "reducible", 0))
+                                                    split, (), (), 0))
                 assert found == CP.constant(row[split - 1])
 
     def test_gamma_raises_codim_by_one(self):
@@ -664,7 +659,7 @@ class TestRuleHygiene:
         assert pullback(u).codim() == u.codim()
 
     def test_node_scroll_builder(self):
-        # by default a node class is a reducible scroll
+        # by default a node class is a scroll
         built = NodeClass(3, (1, 3), 1, jblocks=(((2,), "1"),))
         assert built == F(3, (1, 3), 1, j=(((2,), "1"),))
 
