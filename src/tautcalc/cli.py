@@ -534,74 +534,80 @@ def _shown(n: int, noun: str, named: bool = False) -> str:
     return f"{noun} {n}" if named else str(n)
 
 
-def _build_parser() -> _ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+# Every subcommand, in help order: name -> (function, help, arguments),
+# each argument the flags and options of one `add_argument` call.  Every
+# subcommand also takes `--format`.
+_COMMANDS = {
+    "alpha": (cmd_alpha, "discriminant ideal colength",
+              [_arg("level", type=int)]),
+    "beta": (cmd_beta, "staircase weight row",
+             [_arg("level", type=int),
+              _arg("-j", "--slope", type=int, default=None),
+              _arg("--eta", type=_rational, default=None,
+                   help="extra slope parameter for the genericity check")]),
+    "colength": (cmd_colength, "colength of the level ideal",
+                 [_arg("level", type=int)]),
+    "vdm-check": (cmd_vdm_check,
+                  "chain and syzygy identities on the mixed Vandermondes",
+                  [_arg("-m", "--level", type=int, default=None)]),
+    "ord-table": (cmd_ord_table, "arc valuations by stratum size",
+                  [_arg("-m", "--level", type=int, default=None),
+                   _arg("--seed", type=int, default=0)]),
+    "eta": (cmd_eta, "t-order of e_m(y)^(i+j-2) G_1^2",
+            [_arg("level", type=int), _arg("i", type=int),
+             _arg("j", type=int)]),
+    "normalize": (cmd_normalize, "normal form of a product word",
+                  [_arg("-m", "--level", type=int, required=True),
+                   _arg("expr")]),
+    "integrate": (cmd_integrate, "integral of a product word",
+                  [_arg("-m", "--level", type=int, required=True),
+                   _arg("expr"),
+                   _arg("--chars", default=None,
+                        help="character assignment file; keys become"
+                             " numbers")]),
+    "chern": (cmd_chern, "graded pieces of the bundle class",
+              [_arg("-m", "--level", type=int, required=True)]),
+    "schubert": (cmd_schubert, "boxed Grassmannian integral",
+                 [_arg("--box", type=_box, required=True,
+                       help="A,B bounding box"),
+                  _arg("--factors", type=_factors, required=True,
+                       help="comma list of rN / cN special classes")]),
+    "nsec3": (cmd_nsec3, "assembled 3-node count, times 3!",
+              [_arg("--chars", default=None),
+               _arg("--breakdown", action="store_true")]),
+    "verify-paper": (cmd_verify_paper,
+                     "replay every recorded reference computation", []),
+}
+
+
+def _build_parser(names) -> _ArgumentParser:
+    """The parser with a subparser for each of names, in table order."""
     parser = _ArgumentParser(prog="taut-calc",
                              description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (func, text, arguments) in _COMMANDS.items():
+        if name not in names:
+            continue
+        p = sub.add_parser(name, help=text)
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("pretty", "kv"),
                        default="pretty")
-        return p
-
-    p = add("alpha", cmd_alpha, help="discriminant ideal colength")
-    p.add_argument("level", type=int)
-
-    p = add("beta", cmd_beta, help="staircase weight row")
-    p.add_argument("level", type=int)
-    p.add_argument("-j", "--slope", type=int, default=None)
-    p.add_argument("--eta", type=_rational, default=None,
-                   help="extra slope parameter for the genericity check")
-
-    p = add("colength", cmd_colength, help="colength of the level ideal")
-    p.add_argument("level", type=int)
-
-    p = add("vdm-check", cmd_vdm_check,
-            help="chain and syzygy identities on the mixed Vandermondes")
-    p.add_argument("-m", "--level", type=int, default=None)
-
-    p = add("ord-table", cmd_ord_table, help="arc valuations by stratum size")
-    p.add_argument("-m", "--level", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("eta", cmd_eta, help="t-order of e_m(y)^(i+j-2) G_1^2")
-    p.add_argument("level", type=int)
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-
-    p = add("normalize", cmd_normalize, help="normal form of a product word")
-    p.add_argument("-m", "--level", type=int, required=True)
-    p.add_argument("expr")
-
-    p = add("integrate", cmd_integrate, help="integral of a product word")
-    p.add_argument("-m", "--level", type=int, required=True)
-    p.add_argument("expr")
-    p.add_argument("--chars", default=None,
-                   help="character assignment file; keys become numbers")
-
-    p = add("chern", cmd_chern, help="graded pieces of the bundle class")
-    p.add_argument("-m", "--level", type=int, required=True)
-
-    p = add("schubert", cmd_schubert, help="boxed Grassmannian integral")
-    p.add_argument("--box", type=_box, required=True,
-                   help="A,B bounding box")
-    p.add_argument("--factors", type=_factors, required=True,
-                   help="comma list of rN / cN special classes")
-
-    p = add("nsec3", cmd_nsec3, help="assembled 3-node count, times 3!")
-    p.add_argument("--chars", default=None)
-    p.add_argument("--breakdown", action="store_true")
-
-    add("verify-paper", cmd_verify_paper,
-        help="replay every recorded reference computation")
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # one command builds only its own subparser; help, no command or an
+    # unknown one gets the whole table, so its message lists every command
+    known = bool(argv) and argv[0] in _COMMANDS
+    parser = _build_parser([argv[0]] if known else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         _check_ranges(args)

@@ -34,6 +34,7 @@ level and reports error positions on the original text.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
@@ -42,6 +43,7 @@ from .tautring import (
     DiagMonomial,
     NodeClass,
     TautExpr,
+    _factor_codim,
     _integrate_words,
     _normal_words,
     _unit_fillings,
@@ -342,24 +344,71 @@ def to_words(ast, m: int):
     (a seed does not sort).  Coefficients are summed in first-seen
     order, and a sum that cancels is kept, so the codimension checks
     still see its word.
+
+    A word past the dimension (codimension above m + 1) is never
+    expanded: it is refused, or a Delta<1> or Gamma<1> factor kills it.
+    So its codimension is read off its (factor, power) pairs, before
+    any flattening, and it comes out as a stand-in that keeps only what
+    those checks read: ("codim", n) for its other factors, its
+    level-one factors and its first two seeds (two seeds are refused
+    whatever the codimension, so then the codimension is left out).
+    The stand-ins of a product are collected by their level-one factors
+    and number of seeds: the first one seen, which the checks reach
+    first, stays with the sum of the coefficients.  So a power of a sum
+    takes bounded work per step.
     """
-    return [(c, tuple(chain.from_iterable((f,) * n for f, n in powers))
-             + seeds) for c, (powers, seeds) in _words(ast, m)]
+    return [(c, _factors(word)) for c, word in _words(ast, m)]
+
+
+_LEVEL_ONE = (("delta", 1), ("gamma", 1))
+
+
+# a word past the dimension: its codimension (seeds included), its
+# level-one factors and its first two seeds
+_Past = namedtuple("_Past", "codim level_one seeds")
+
+
+def _factors(word) -> tuple:
+    """The factor tuple of a word, or of a stand-in past the dimension."""
+    if isinstance(word, _Past):
+        if len(word.seeds) == 2:
+            return word.level_one + word.seeds
+        own = _seed_codim(word.seeds[0]) if word.seeds else 0
+        n = word.codim - len(word.level_one) - own
+        return (("codim", n),) + word.level_one + word.seeds
+    powers, seeds, _codim = word
+    return tuple(chain.from_iterable((f,) * n for f, n in powers)) + seeds
+
+
+def _seed_codim(seed) -> int:
+    return seed[1].codim() or 0
+
+
+def _as_past(word) -> _Past:
+    if isinstance(word, _Past):
+        return word
+    powers, seeds, codim = word
+    factors = {f for f, _ in powers}
+    return _Past(codim, tuple(f for f in _LEVEL_ONE if f in factors),
+                 seeds[:2])
 
 
 def _words(ast, m: int):
-    """to_words, each word kept as (sorted (factor, power) pairs, seeds)."""
+    """to_words, each word kept as (sorted (factor, power) pairs, seeds,
+    codimension) or as a `_Past` stand-in."""
     kind = ast[0]
     one = CharacterPolynomial.one()
     if kind == "num":
-        return [(CharacterPolynomial.constant(ast[1]), ((), ()))]
+        return [(CharacterPolynomial.constant(ast[1]), ((), (), 0))]
     if kind == "char":
-        return [(CharacterPolynomial.symbol(ast[1]), ((), ()))]
+        return [(CharacterPolynomial.symbol(ast[1]), ((), (), 0))]
     if kind in ("gamma", "delta", "class"):
         factor = ("class", ast[2], ast[1]) if kind == "class" else ast
-        return [(one, (((factor, 1),), ()))]
+        # an atom never passes the dimension: a TautExpr drops such terms
+        return [(one, (((factor, 1),), (), _factor_codim(factor, m)))]
     if kind in ("diag", "node"):
-        return [(one, ((), (("seed", _seed(ast, m)),)))]
+        seed = ("seed", _seed(ast, m))
+        return [(one, ((), (seed,), _seed_codim(seed)))]
     if kind == "neg":
         return [(-c, w) for c, w in _words(ast[1], m)]
     if kind == "add":
@@ -367,38 +416,64 @@ def _words(ast, m: int):
     if kind == "sub":
         return _words(ast[1], m) + [(-c, w) for c, w in _words(ast[2], m)]
     if kind == "mul":
-        return _product(_words(ast[1], m), _words(ast[2], m))
+        return _product(_words(ast[1], m), _words(ast[2], m), m)
     if kind == "pow":
         base, n = _words(ast[1], m), ast[2]
         if len(base) == 1 and n > 0:
             # one word: its power in one step, not n products
-            c, (powers, seeds) = base[0]
-            return [(c ** n, (tuple((f, k * n) for f, k in powers),
-                              seeds * n))]
-        out = [(one, ((), ()))]
+            c, word = base[0]
+            if not isinstance(word, _Past) and word[2] * n <= m + 1:
+                powers, seeds, codim = word
+                return [(c ** n, (tuple((f, k * n) for f, k in powers),
+                                  seeds * n, codim * n))]
+            past = _as_past(word)
+            return [(c ** n, _Past(past.codim * n, past.level_one,
+                                   (past.seeds * min(n, 2))[:2]))]
+        out = [(one, ((), (), 0))]
         for _ in range(n):
-            out = _product(out, base)
+            out = _product(out, base, m)
         return out
     raise ValueError(f"unknown AST node {kind!r}")
 
 
-def _product(left, right):
+def _product(left, right, m: int):
     """The words of a product, like words collected in first-seen order.
 
     A seed is keyed by its identity, one object per atom: a TautExpr
-    hash walks all its terms, at every step of a power of a seed.
+    hash walks all its terms, at every step of a power of a seed.  A
+    stand-in past the dimension is keyed by its level-one factors and
+    number of seeds.
     """
     out = {}
-    for c1, (p1, s1) in left:
-        for c2, (p2, s2) in right:
-            powers = dict(p1)
-            for f, n in p2:
-                powers[f] = powers.get(f, 0) + n
-            word = (tuple(sorted(powers.items())), s1 + s2)
-            key = (word[0], tuple(id(seed) for _, seed in word[1]))
+    for c1, w1 in left:
+        for c2, w2 in right:
+            if isinstance(w1, _Past) or isinstance(w2, _Past):
+                word = _past_product(w1, w2)
+            else:
+                powers = dict(w1[0])
+                for f, n in w2[0]:
+                    powers[f] = powers.get(f, 0) + n
+                word = (tuple(sorted(powers.items())), w1[1] + w2[1],
+                        w1[2] + w2[2])
+                if word[2] > m + 1:
+                    word = _as_past(word)
+            if isinstance(word, _Past):
+                key = ("past", word.level_one, len(word.seeds))
+            else:
+                key = (word[0], tuple(id(seed) for _, seed in word[1]))
             c = c1 * c2
-            out[key] = (out[key][0] + c, word) if key in out else (c, word)
+            if key in out:
+                c, word = out[key][0] + c, out[key][1]
+            out[key] = (c, word)
     return list(out.values())
+
+
+def _past_product(w1, w2) -> _Past:
+    p1, p2 = _as_past(w1), _as_past(w2)
+    both = p1.level_one + p2.level_one
+    return _Past(p1.codim + p2.codim,
+                 tuple(f for f in _LEVEL_ONE if f in both),
+                 (p1.seeds + p2.seeds)[:2])
 
 
 def evaluate_normal(text: str, m: int) -> TautExpr:

@@ -37,8 +37,10 @@ Work is shared within one call or one command, never across them.  The
 word evaluators behind `integrate_word` and `expand_monomial`, and
 `chern_taut`, open a scope when none is open (`tautcalc.shares_work`);
 `taut-calc` opens one around each command.  While it is open, `mul_gamma`
-looks up a generator's Gamma image, and the up pass a generator's image
-under a slot class, before computing it.  The scope closes with the call
+looks up a generator's Gamma image, the up pass a generator's image
+under a slot class, and the integral evaluator a seedless piece's
+integral (the piece table, keyed by Gamma levels, slot classes and
+level), before computing it.  The scope closes with the call
 that opened it; with none open every function computes afresh.
 """
 
@@ -240,6 +242,12 @@ class NodeClass:
                 covered.add(s)
         if covered != set(range(1, m + 1)):
             raise ValueError("node profile must cover every slot")
+        for slots, key in jblocks + kblocks:
+            # no rewrite puts a pin on a single slot
+            if key == "pin" and len(slots) == 1:
+                raise ValueError(f"pin on the one-slot side block"
+                                 f" {{{slots[0]}}}: a pin joins two side"
+                                 " points")
         self._fill(m, I, split, jblocks, kblocks, gamma_power)
 
     @classmethod
@@ -833,9 +841,12 @@ def _expand(factors, m: int):
             steps = [{factor[1]: 1}]
         elif kind == "delta":
             steps = [_delta(factor[1])]
-        else:
+        elif kind == "smalldiag":
             words = {w: c / factorial(m - 1) for w, c in words.items()}
             steps = [_delta(k) for k in range(2, m + 1)]
+        else:
+            # a ("codim", n) stand-in only comes past the dimension
+            raise ValueError(f"unknown factor {factor!r}")
         for step in steps:
             merged = {}
             for word, c in words.items():
@@ -873,6 +884,21 @@ def _eval_up(levels, classes, seed, m: int) -> TautExpr:
     return expr
 
 
+def _factor_codim(factor, m: int) -> int:
+    """Codimension of one non-seed factor; ("codim", n) stands for
+    dropped factors of codimension n (see `exprparse.to_words`)."""
+    kind = factor[0]
+    if kind in ("gamma", "delta"):
+        return 1
+    if kind == "smalldiag":
+        return m - 1
+    if kind == "class":
+        return _key_degree(factor[2])
+    if kind == "codim":
+        return factor[1]
+    raise ValueError(f"unknown factor {factor!r}")
+
+
 def _word_codim(factors, m: int):
     """Codimension of a product word, read off its factors unexpanded.
 
@@ -884,23 +910,16 @@ def _word_codim(factors, m: int):
     seeds = []
     for factor in factors:
         kind = factor[0]
-        if kind == "gamma":
-            codim += 1
-        elif kind == "delta":
+        if kind == "seed":
+            seeds.append(factor[1])
+            continue
+        if kind == "delta":
             k = factor[1]
             if k < 1 or k > m:
                 raise ValueError(f"diagonal index {k} outside level {m}")
             if k == 1:
                 return None
-            codim += 1
-        elif kind == "smalldiag":
-            codim += m - 1
-        elif kind == "class":
-            codim += _key_degree(factor[2])
-        elif kind == "seed":
-            seeds.append(factor[1])
-        else:
-            raise ValueError(f"unknown factor {factor!r}")
+        codim += _factor_codim(factor, m)
     if len(seeds) > 1:
         raise UnsupportedProductError(
             "products of two seeded classes are not supported")
@@ -956,12 +975,22 @@ def _integrate_words(words, m: int) -> CharacterPolynomial:
 
     Each distinct merged piece is evaluated once: up to level m, then
     down, with the Gammas below a seed's level applied on the way down.
+    A seedless piece's integral is looked up in the open scope's piece
+    table first; a seeded one is not, because a TautExpr hash walks all
+    its terms.
     """
+    pieces = shared_table("piece")
     total = CharacterPolynomial.zero()
     for levels, classes, seed, coeff in _merge_words(words, m, True):
-        expr = _eval_up(levels, classes, seed, m)
-        lower = [k for k in levels if seed is not None and k < seed.m]
-        value = _push_down(expr, lower) if lower else integrate(expr)
+        if seed is None:
+            value = pieces.get((levels, classes, m))
+            if value is None:
+                value = pieces[levels, classes, m] = integrate(
+                    _eval_up(levels, classes, None, m))
+        else:
+            expr = _eval_up(levels, classes, seed, m)
+            lower = [k for k in levels if k < seed.m]
+            value = _push_down(expr, lower) if lower else integrate(expr)
         total = total + coeff * value
     return total
 

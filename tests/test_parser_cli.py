@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import tracemalloc
 from math import comb
 from pathlib import Path
 from time import perf_counter
@@ -90,10 +91,31 @@ class TestParseForms:
 
 class TestLikeWords:
     # factors commute, so the words of a product are collected
-    @pytest.mark.parametrize("k", [0, 1, 5, 12])
+    @pytest.mark.parametrize("k", [0, 1, 5, 10])
     def test_power_of_a_sum_has_one_word_per_split(self, k):
-        words = to_words(parse(f"(Delta<2>+Delta<3>)^{k}", 3), 3)
+        # at level 9 every split is inside the dimension, 10
+        words = to_words(parse(f"(Delta<2>+Delta<3>)^{k}", 9), 9)
         assert len(words) == k + 1
+
+    def test_words_past_the_dimension_collapse(self):
+        # the 13 splits of codimension 12 > 4 leave one stand-in, with
+        # the sum of their coefficients
+        [(c, word)] = to_words(parse("(Delta<2>+Delta<3>)^12", 3), 3)
+        assert (c.render(), word) == ("4096", (("codim", 12),))
+        words = to_words(parse("(1+Delta<2>+Gamma<1>)^40", 3), 3)
+        past = [w for c, w in words if w and w[0][0] == "codim"]
+        assert past == [(("codim", 5),), (("codim", 4), ("gamma", 1))]
+
+    def test_power_past_the_dimension_is_never_flattened(self):
+        ast = parse("Delta<3>^2000000", 3)
+        tracemalloc.start()
+        try:
+            words = to_words(ast, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert words[0][1] == (("codim", 2000000),)
+        assert peak < 100_000
 
     def test_seeds_follow_the_sorted_factors(self):
         words = to_words(parse("(NS(13:)+Delta<2>)^2", 3), 3)
@@ -455,6 +477,30 @@ class TestCliExitCodes:
         assert perf_counter() - start < 2.0
         assert got == want
 
+    @pytest.mark.parametrize("argv, want", [
+        (["normalize", "-m", "3", "(1+Delta<2>)^1000"],
+         (2, "", "error: word exceeds the dimension of the level\n")),
+        (["integrate", "-m", "3", "(1+Delta<2>)^30"],
+         (2, "", "error: word has codimension 0, integration needs 4\n")),
+        (["integrate", "-m", "3", "(Delta<2>+1)^1000"],
+         (2, "", "error: word has codimension 1000, integration needs 4\n")),
+        (["integrate", "-m", "3", "(Delta<2>+Delta<3>+L(1))^4"
+          " - (Delta<2>+Gamma<1>)^1000*Gamma<1>"],
+         (0, "-8*dL*sigma + 4*dL*omega2 - 6*L2*g2 - 46*sigma - 96*omegaL"
+             " + 78*omega2 + 36*L2\n", "")),
+        (["normalize", "-m", "3", "(1+Delta<2>)^1000*Delta<1>"],
+         (0, "0\n", "")),
+        (["normalize", "-m", "3", "(F(13:)+Delta<2>)^1000"],
+         (2, "", "error: products of two seeded classes are not supported\n")),
+    ])
+    def test_power_of_a_sum_is_decided_at_once(self, argv, want):
+        # words past the dimension collapse, so each factor of the
+        # power is a bounded step
+        start = perf_counter()
+        got = run_cli(argv)
+        assert perf_counter() - start < 1.0
+        assert got == want
+
     def test_huge_level_refused_in_a_short_message(self):
         code, out, err = run_cli(["alpha", str(10**1000 + 1)])
         assert (code, out) == (1, "")
@@ -468,6 +514,18 @@ class TestCliExitCodes:
         code, out, err = run_cli(["integrate", "-m", "2", expr])
         assert (code, out) == (2, "")
         assert err == "error: slot 1 used twice in node profile\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "-m", "3", "NS(1|3:{2}(pin)|)"],
+        ["normalize", "-m", "3", "F(1|3:{2}(pin)|)"],
+        ["normalize", "-m", "3", "F(1|3:|{2}(pin))"],
+    ])
+    def test_pin_on_one_slot_refused(self, argv):
+        # a pin joins two side points
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: pin on the one-slot side block {2}: a pin"
+                       " joins two side points\n")
 
     def test_short_node_form_stays_validated(self):
         # the short form's fillings go through the validating constructor
@@ -520,6 +578,89 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert err == ("error: no pairing registered for divisors"
                        " 'L', 'M'\n")
+
+
+class TestOneSubcommandParser:
+    """`main` builds only the named command's subparser, and the whole
+    table for help, no command or an unknown one; both parsers answer
+    every command line alike."""
+
+    # per command: a valid tail, one with a bad type, one missing an
+    # argument
+    CASES = {
+        "alpha": (["3"], ["x"], []),
+        "beta": (["4", "-j", "2"], ["4", "-j", "x"], []),
+        "colength": (["3"], ["3.5"], []),
+        "vdm-check": (["-m", "2"], ["-m", "x"], ["-m"]),
+        "ord-table": (["-m", "2", "--seed", "1"], ["--seed", "x"], ["--seed"]),
+        "eta": (["2", "1", "2"], ["2", "x", "1"], ["2", "1"]),
+        "normalize": (["-m", "2", "Delta<2>^2"], ["-m", "x", "L(1)"],
+                      ["-m", "2"]),
+        "integrate": (["-m", "2", "Delta<2>^3"], ["-m", "x", "L(1)"],
+                      ["Delta<2>^3"]),
+        "chern": (["-m", "2"], ["-m", "x"], []),
+        "schubert": (["--box", "2,2", "--factors", "r1,r1,r1,r1"],
+                     ["--box", "2,2", "--factors", "x1"], ["--box", "2,2"]),
+        "nsec3": ([], ["--breakdown=x"], ["--chars"]),
+        "verify-paper": ([], ["--format", "xml"], ["--format"]),
+    }
+
+    @staticmethod
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # help exits from argparse
+                code = ("exit", exc.code)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_every_command_has_cases(self):
+        assert set(self.CASES) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_answers_as_the_full_parser(self, name, monkeypatch):
+        valid, bad_type, missing = self.CASES[name]
+        corpus = [valid, bad_type, missing, valid + ["--bogus"], ["-h"],
+                  valid + ["--format", "kv"]]
+        argvs = [[name] + tail for tail in corpus]
+        one = [self.run(argv) for argv in argvs]
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda names: full(cli._COMMANDS))
+        assert [self.run(argv) for argv in argvs] == one
+        codes = [code for code, _, _ in one]
+        assert codes[0] == codes[5] == 0 and codes[4] == ("exit", 0)
+        assert codes[1] == codes[2] == codes[3] == 1
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["alp", "3"]])
+    def test_no_known_command_gets_the_whole_table(self, argv, monkeypatch):
+        built = []
+        full = cli._build_parser
+
+        def spy(names):
+            built.append(list(names))
+            return full(names)
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        code, out, err = self.run(argv)
+        assert built == [list(cli._COMMANDS)]
+        if argv == ["-h"]:
+            assert code == ("exit", 0)
+            assert "{" + ",".join(cli._COMMANDS) + "}" in out
+        else:
+            assert code == 1
+            assert err.startswith("error: ")
+            if argv:
+                assert "invalid choice" in err and "'verify-paper'" in err
+
+    def test_a_command_builds_only_its_own_subparser(self, monkeypatch):
+        built = []
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda names: built.append(names) or full(names))
+        assert self.run(["alpha", "3"]) == (0, "5\n", "")
+        assert built == [["alpha"]]
 
 
 class TestVerifyBattery:

@@ -1,8 +1,9 @@
 """Work shared within one call or one command, never across them.
 
 A scope opened by a library entry point or by `cli.main` holds the
-Gamma images, the class images and the Vandermonde generators computed
-inside it, and closes when that call returns.
+Gamma images, the class images, the Vandermonde generators and the
+seedless piece integrals computed inside it, and closes when that call
+returns.
 """
 
 from __future__ import annotations
@@ -117,3 +118,50 @@ def test_golden_renders_twice_in_one_scope():
 
     for got in both_passes():
         assert got == want
+
+
+@pytest.fixture
+def pieces(monkeypatch):
+    """Count the seedless pieces evaluated, by (levels, classes, m)."""
+    counts = Counter()
+    original = tautring._eval_up
+
+    def counting(levels, classes, seed, m):
+        if seed is None:
+            counts[levels, classes, m] += 1
+        return original(levels, classes, seed, m)
+
+    monkeypatch.setattr(tautring, "_eval_up", counting)
+    return counts
+
+
+def test_one_nsec3_integrates_each_piece_once(pieces):
+    # the ten nsec3 integrals merge into 111 pieces, 65 of them distinct
+    assert _run_cli(["nsec3"]) == 0
+    assert len(pieces) == 65 and set(pieces.values()) == {1}
+
+
+def test_direct_integrals_share_no_piece(pieces):
+    first = evaluate_integral("Delta<3>^4", 3)
+    assert evaluate_integral("Delta<3>^4", 3) == first
+    assert pieces and set(pieces.values()) == {2}
+
+
+def test_pieces_are_keyed_by_their_classes_and_level():
+    # the same Gamma levels under different slot classes, at two levels
+    texts = [("L(1)*Delta<2>^2", 2), ("omega(1)*Delta<2>^2", 2),
+             ("L(1)*Delta<2>^2*Delta<3>", 3),
+             ("omega(3)*Delta<2>^2*Delta<3>", 3)]
+    alone = [evaluate_integral(text, m) for text, m in texts]
+
+    @tautcalc.shares_work
+    def together():
+        values = [evaluate_integral(text, m) for text, m in texts]
+        return values, tautcalc.shared_table("piece")
+
+    values, table = together()
+    assert values == alone
+    assert len(set(alone[:2])) == 2
+    assert {(classes, m) for _levels, classes, m in table} == {
+        (((1, "L"),), 2), (((1, "omega"),), 2),
+        (((1, "L"),), 3), (((3, "omega"),), 3)}
