@@ -4,6 +4,14 @@ Integrals computed by the engine are not plain numbers: they are
 polynomials with rational coefficients in a handful of named characters
 of the fibration (node count, self-intersections of distinguished
 divisors, fibre degrees).  This module provides that coefficient ring.
+
+Coefficients are int first: almost every coefficient the engine makes
+is an integer (weights, binomials, signs, counts of moves), so an
+integral coefficient is stored as an int and only a non-integral one
+as a Fraction.  Values do not depend on this: `terms` and
+`constant_value` return Fractions, and since hash(2) == hash(Fraction(2))
+equality, hashes and renders are those of all-Fraction arithmetic.
+Every division goes through Fraction(a, b), never int / int.
 """
 from __future__ import annotations
 
@@ -36,8 +44,9 @@ class CharacterPolynomial:
 
     Internally a map from monomials to coefficients, where a monomial is
     the tuple of its symbol names sorted ascending (with multiplicity)
-    and every coefficient is a nonzero Fraction.  Immutable: operations
-    never change an operand, though they may return one unchanged.
+    and every coefficient is nonzero: an int when it is integral, a
+    Fraction otherwise.  Immutable: operations never change an operand,
+    though they may return one unchanged.
     """
 
     __slots__ = ("_terms",)
@@ -46,14 +55,14 @@ class CharacterPolynomial:
         cleaned: dict[tuple[str, ...], Rational] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    cleaned[tuple(sorted(mono))] = cleaned.get(tuple(sorted(mono)), 0) + c
-        self._terms = {k: v for k, v in cleaned.items() if v}
+                mono = tuple(sorted(mono))
+                cleaned[mono] = cleaned.get(mono, 0) + _coefficient(coeff)
+        self._terms = {k: _demote(v) for k, v in cleaned.items() if v}
 
     @classmethod
     def _from_normal(cls, terms: dict) -> "CharacterPolynomial":
-        # terms must already be normal: sorted monomials, nonzero Fractions
+        # terms must already be normal: sorted monomials, nonzero
+        # coefficients, each an int when integral
         poly = object.__new__(cls)
         poly._terms = terms
         return poly
@@ -64,17 +73,17 @@ class CharacterPolynomial:
 
     @classmethod
     def one(cls) -> "CharacterPolynomial":
-        return cls._from_normal({(): Fraction(1)})
+        return cls._from_normal({(): 1})
 
     @classmethod
     def constant(cls, value) -> "CharacterPolynomial":
-        c = Fraction(value)
+        c = _demote(_coefficient(value))
         return cls._from_normal({(): c} if c else {})
 
     @classmethod
     def symbol(cls, name: str) -> "CharacterPolynomial":
         register_character(name)
-        return cls._from_normal({(name,): Fraction(1)})
+        return cls._from_normal({(name,): 1})
 
     # -- queries ------------------------------------------------------
 
@@ -87,10 +96,10 @@ class CharacterPolynomial:
     def constant_value(self) -> Rational:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get((), 0))
 
     def terms(self) -> dict[tuple[str, ...], Rational]:
-        return dict(self._terms)
+        return {m: Fraction(c) for m, c in self._terms.items()}
 
     # -- ring operations ----------------------------------------------
 
@@ -104,7 +113,7 @@ class CharacterPolynomial:
             return other
         out = dict(self._terms)
         for m, c in other._terms.items():
-            c += out.get(m, 0)
+            c = _demote(c + out.get(m, 0))
             if c:
                 out[m] = c
             else:
@@ -141,14 +150,15 @@ class CharacterPolynomial:
         if len(a) == 1 and () in a:
             # a constant factor scales the coefficients and keeps the monomials
             c = a[()]
-            return CharacterPolynomial._from_normal({m: c * v for m, v in b.items()})
+            return CharacterPolynomial._from_normal(
+                {m: _demote(c * v) for m, v in b.items()})
         out: dict[tuple[str, ...], Rational] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 + m2
                 out[m] = out.get(m, 0) + c1 * c2
         return CharacterPolynomial._from_normal(
-            {m: c for m, c in out.items() if c})
+            {m: _demote(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -182,7 +192,7 @@ class CharacterPolynomial:
                     rest.append(sym)
             if c:
                 key = tuple(rest)
-                out[key] = out.get(key, Fraction(0)) + c
+                out[key] = out.get(key, 0) + c
         return CharacterPolynomial(out)
 
     # -- comparison / rendering ---------------------------------------
@@ -237,6 +247,19 @@ def _render_monomial(mono: tuple[str, ...]) -> str | None:
         pieces.append(mono[i] if j - i == 1 else f"{mono[i]}^{j - i}")
         i = j
     return "*".join(pieces)
+
+
+def _coefficient(value) -> int | Fraction:
+    """An exact coefficient: an int stays an int, anything else becomes
+    a Fraction (a float by its exact binary value)."""
+    return int(value) if isinstance(value, int) else Fraction(value)
+
+
+def _demote(c):
+    """c as an int when it is an integral Fraction, else c unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _coerce(value):

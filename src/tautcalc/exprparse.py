@@ -179,13 +179,13 @@ class _Parser:
 
     def number(self):
         tok = self.expect("INT")
-        value = Fraction(int(tok[1]))
+        value = int(tok[1])
         if self.peek()[0] == "/":
             self.next()
             den = self.expect("INT")
             if int(den[1]) == 0:
                 raise ParseError("division by zero", den[2], self.text)
-            value /= int(den[1])
+            value = Fraction(value, int(den[1]))
         return ("num", value)
 
     def atom(self):
@@ -429,9 +429,18 @@ def _words(ast, m: int):
             past = _as_past(word)
             return [(c ** n, _Past(past.codim * n, past.level_one,
                                    (past.seeds * min(n, 2))[:2]))]
-        out = [(one, ((), (), 0))]
-        for _ in range(n):
-            out = _product(out, base, m)
+        # repeated squaring, about 2 log2(n) products as in
+        # CharacterPolynomial.__pow__.  A product lists each like word
+        # where its lexicographically first sequence of base words puts
+        # it, however the n factors are grouped, so the words, their
+        # order and the stand-ins kept are those of n single products
+        out, square = [(one, ((), (), 0))], base
+        while n:
+            if n & 1:
+                out = _product(out, square, m)
+            n >>= 1
+            if n:
+                square = _product(square, square, m)
         return out
     raise ValueError(f"unknown AST node {kind!r}")
 

@@ -12,14 +12,19 @@ goes in as an int, and every division goes through `_quotient`, which
 returns an int when the quotient is exact and a Fraction otherwise.
 Only the number types depend on this; every basis, remainder and
 colength has the same value as in all-Fraction arithmetic.
+
+Inside a shared-work scope (`tautcalc.shares_work`) each colength behind
+a beta weight is computed once per (m, j, eta); with none open, every
+call computes afresh.
 """
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from math import comb
+
+from . import shared_table
 
 Mono = tuple[int, int]
 Coeff = int | Fraction
@@ -207,9 +212,16 @@ def _beta_single(m: int, j: int, eta: Fraction) -> int:
     return colength(gens + [binom])
 
 
-@lru_cache(maxsize=128)
-def _beta_cached(m: int, j: int, etas: tuple[Fraction, ...]) -> int:
-    values = {_beta_single(m, j, Fraction(e)) for e in etas}
+def _beta_generic(m: int, j: int, etas: tuple[Fraction, ...]) -> int:
+    # one colength per (m, j, eta) in the open scope, so a check that
+    # adds an eta computes only the new one
+    colengths = shared_table("beta")
+    values = set()
+    for eta in etas:
+        value = colengths.get((m, j, eta))
+        if value is None:
+            value = colengths[m, j, eta] = _beta_single(m, j, eta)
+        values.add(value)
     if len(values) != 1:
         raise GenericityError(
             f"colength at level {m}, slope {j} varies with eta: {sorted(values)}"
@@ -235,5 +247,5 @@ def beta(m: int, j: int | None = None, etas=(Fraction(1), Fraction(2))):
     if j is not None:
         if not 1 <= j <= m - 1:
             raise ValueError(f"slope index {j} out of range for level {m}")
-        return _beta_cached(m, j, etas)
-    return tuple(_beta_cached(m, jj, etas) for jj in range(1, m))
+        return _beta_generic(m, j, etas)
+    return tuple(_beta_generic(m, jj, etas) for jj in range(1, m))

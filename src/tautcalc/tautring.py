@@ -12,8 +12,9 @@ generators:
 * node classes: scrolls F^(I1|I2: J|K)[(c.)] supported over the nodes
   of degenerate fibres, and their sections NS = -Gamma.F.
 
-Coefficients live in the character ring (see charpoly).  Every rewrite
-is grading-checked: multiplying by Gamma adds one to the codimension,
+Coefficients live in the character ring (see charpoly); the weights,
+signs and binomials of the rewrites are plain ints.  Every rewrite is
+grading-checked: multiplying by Gamma adds one to the codimension,
 multiplying by a degree-d surface class adds d.
 
 Generators are validated once: the public constructors
@@ -332,7 +333,7 @@ class TautExpr:
 
     def add(self, gen, coeff):
         if not isinstance(coeff, CharacterPolynomial):
-            coeff = _as_char(coeff)
+            coeff = CharacterPolynomial.constant(coeff)
         if not coeff:
             return
         if gen.m != self.m:
@@ -365,14 +366,6 @@ class TautExpr:
 
     def __repr__(self):
         return f"TautExpr(m={self.m}, {render_expr(self)})"
-
-
-def _as_char(value) -> CharacterPolynomial:
-    if isinstance(value, CharacterPolynomial):
-        return value
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return CharacterPolynomial._from_normal({(): value} if value else {})
 
 
 def unit(m: int) -> TautExpr:
@@ -452,7 +445,7 @@ def mul_gamma_diag(mono: DiagMonomial) -> TautExpr:
         if repaired is not None:
             coeff, new_key = repaired
             out.add(mono._with_key(idx, new_key),
-                    coeff * Fraction(-comb(size, 2)))
+                    coeff * -comb(size, 2))
         if key != "1":
             continue
         others = ([(bk[0], bk[1]) for k2, bk in enumerate(mono.blocks) if k2 != idx]
@@ -462,8 +455,7 @@ def mul_gamma_diag(mono: DiagMonomial) -> TautExpr:
             # the staircase weight beta(size, split_j), in closed form
             w = size * split_j * (size - split_j) // 2
             for jside, kside in assignments:
-                out.add(NodeClass._new(m, slots, split_j, jside, kside, 0),
-                        Fraction(w))
+                out.add(NodeClass._new(m, slots, split_j, jside, kside, 0), w)
     return out
 
 
@@ -635,7 +627,6 @@ def _resolve_c2(node: NodeClass, coeff: int, mv1, mv2):
     A join is applied before the other move, so a block it joined
     slides into the node together with its partner.
     """
-    coeff = _as_char(Fraction(coeff))
     if mv1 == mv2:
         if mv1[0] != "pair":
             return None  # a node-section class squares to zero on the base
@@ -658,7 +649,7 @@ def mul_gamma_node(node: NodeClass) -> TautExpr:
     """Gamma^[m] . (node class)."""
     out = TautExpr(node.m)
     if node.gamma_power == 0:
-        out.add(_edit(node, gamma_power=1), Fraction(-1))
+        out.add(_edit(node, gamma_power=1), -1)
         return out
     # Gamma^2 . F = Gamma.(c1 F-classes) + c2 F-classes, with c1 = a + b
     # and c2 = a.b for the two factors; the first term turns each
@@ -668,7 +659,7 @@ def mul_gamma_node(node: NodeClass) -> TautExpr:
     for a, b, move in factors:
         moved = _apply_move(node, move)
         if moved is not None:
-            out.add(moved, Fraction(-(a + b)))
+            out.add(moved, -(a + b))
     for a, _, mv1 in factors:
         for _, b, mv2 in factors:
             resolved = _resolve_c2(scroll, a * b, mv1, mv2)
@@ -714,8 +705,8 @@ def pullback(expr: TautExpr) -> TautExpr:
             continue
         # the new point can also run into the node along either branch
         split = gen.split
-        branch_pins = [(split + 1, Fraction(split + 1)),
-                       (split, Fraction(len(gen.I) - split + 1))]
+        branch_pins = [(split + 1, split + 1),
+                       (split, len(gen.I) - split + 1)]
         for new_split, weight in branch_pins:
             out.add(_edit(gen, m=m, I=gen.I + (m,), split=new_split,
                           gamma_power=0), coeff * weight)
@@ -820,13 +811,13 @@ def _delta(k: int) -> dict:
 def _expand(factors, m: int):
     """Expand Delta and small-diagonal factors into merged Gamma words.
 
-    Returns ({sorted Gamma levels: Fraction}, classes, seed).  The
+    Returns ({sorted Gamma levels: int or Fraction}, classes, seed).  The
     factors commute, so words with the same levels merge and words
     that cancel are dropped.  The word has passed `_word_codim`: no
     Delta^(1) factor, Delta indices in range, at most one seed.  The
     small diagonal is (1/(m-1)!) prod_{k=2..m} Delta^(k).
     """
-    words = {(): Fraction(1)}
+    words = {(): 1}
     classes = []
     seed = None
     for factor in factors:
@@ -842,7 +833,8 @@ def _expand(factors, m: int):
         elif kind == "delta":
             steps = [_delta(factor[1])]
         elif kind == "smalldiag":
-            words = {w: c / factorial(m - 1) for w, c in words.items()}
+            words = {w: Fraction(c, factorial(m - 1))
+                     for w, c in words.items()}
             steps = [_delta(k) for k in range(2, m + 1)]
         else:
             # a ("codim", n) stand-in only comes past the dimension

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tautcalc import tautring
 from tautcalc.charpoly import (
     CharacterPolynomial,
     register_character,
     symbol,
 )
+from tautcalc.exprparse import evaluate_integral, evaluate_normal
+from tautcalc.schubert import nsec3, nsec3_terms
+from test_golden import cases
 
 
 def parse_rational(text: str) -> Fraction:
@@ -127,7 +131,15 @@ def coefficient(p: CharacterPolynomial, mono: tuple) -> Fraction:
     return p.terms().get(tuple(sorted(mono)), Fraction(0))
 
 
+def assert_int_first(p: CharacterPolynomial):
+    """Each stored coefficient is an int exactly when it is integral."""
+    for coeff in p._terms.values():
+        assert type(coeff) in (int, Fraction)
+        assert (type(coeff) is int) == (coeff.denominator == 1)
+
+
 def assert_normal(p: CharacterPolynomial):
+    assert_int_first(p)
     terms = p.terms()
     assert terms == CharacterPolynomial(terms).terms()
     for mono, coeff in terms.items():
@@ -161,3 +173,66 @@ def test_operations_keep_the_normal_form(a, b, n, values):
         assert isinstance(got, CharacterPolynomial)
         assert_normal(got)
         assert value_at(got, point) == want
+
+
+# -- integral coefficients are stored as int ------------------------------
+
+
+def test_golden_and_nsec3_coefficients_are_int_first():
+    polys = []
+    for m, kind, text in cases():
+        try:
+            if kind == "int":
+                polys.append(evaluate_integral(text, m))
+            else:
+                polys.extend(evaluate_normal(text, m).terms.values())
+        except (ValueError, KeyError):
+            continue  # refused inputs are pinned by test_golden
+    for _g, w in nsec3_terms().values():
+        polys.append(w)
+    polys.append(nsec3())
+    assert len(polys) > 1000
+    for p in polys:
+        assert_int_first(p)
+        assert all(type(c) is Fraction for c in p.terms().values())
+
+
+def test_public_values_are_fractions():
+    p = 2 * symbol("sigma") - 3
+    assert all(type(c) is Fraction for c in p.terms().values())
+    assert type(CharacterPolynomial.constant(4).constant_value()) is Fraction
+    assert type(CharacterPolynomial.zero().constant_value()) is Fraction
+    # nsec3 prints constant_value() / 6, which must stay a Fraction
+    assert str(CharacterPolynomial.constant(9).constant_value() / 6) == "3/2"
+
+
+def test_int_and_integral_fraction_build_the_same_polynomial():
+    s = symbol("sigma")
+    pairs = [
+        (CharacterPolynomial.constant(2), CharacterPolynomial.constant(Fraction(2))),
+        (CharacterPolynomial({("sigma",): 2}),
+         CharacterPolynomial({("sigma",): Fraction(4, 2)})),
+        (2 * s, Fraction(2) * s),
+        (s + 2, s + Fraction(2)),
+        (Fraction(1, 2) * s + Fraction(3, 2) * s, 2 * s),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and a.render() == b.render()
+        assert a._terms == b._terms
+        assert_int_first(a)
+        assert_int_first(b)
+
+
+def test_non_integral_coefficients_keep_their_fractions():
+    half = evaluate_integral("1/2*Delta<2>^3", 2)
+    assert half.render() == "-1/2*sigma + 1/2*omega2"
+    assert half._terms == {("sigma",): Fraction(-1, 2),
+                           ("omega2",): Fraction(1, 2)}
+    # the small diagonal is (1/(m-1)!) Delta<2>...Delta<m>; its square
+    # at level 3 keeps a half on sigma
+    square = tautring.integrate_word([("smalldiag",), ("smalldiag",)], 3)
+    assert square.render() == "-1/2*sigma + omega2"
+    assert type(square._terms[("sigma",)]) is Fraction
+    assert type(square._terms[("omega2",)]) is int
+    for p in (half, square):
+        assert_int_first(p)

@@ -492,10 +492,18 @@ class TestCliExitCodes:
          (0, "0\n", "")),
         (["normalize", "-m", "3", "(F(13:)+Delta<2>)^1000"],
          (2, "", "error: products of two seeded classes are not supported\n")),
+        (["normalize", "-m", "3", "(1+Delta<2>)^100000"],
+         (2, "", "error: word exceeds the dimension of the level\n")),
+        (["normalize", "-m", "3", "(1+Delta<2>+Delta<3>)^100000"],
+         (2, "", "error: word exceeds the dimension of the level\n")),
+        (["integrate", "-m", "3", "(1+Delta<2>)^100000"],
+         (2, "", "error: word has codimension 0, integration needs 4\n")),
+        (["integrate", "-m", "3", "(Delta<3>+Delta<2>+1)^100000"],
+         (2, "", "error: word has codimension 100000, integration needs 4\n")),
     ])
     def test_power_of_a_sum_is_decided_at_once(self, argv, want):
-        # words past the dimension collapse, so each factor of the
-        # power is a bounded step
+        # words past the dimension collapse, and the power is taken by
+        # squaring: about 2 log2(n) products of bounded size
         start = perf_counter()
         got = run_cli(argv)
         assert perf_counter() - start < 1.0

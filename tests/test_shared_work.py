@@ -1,9 +1,9 @@
 """Work shared within one call or one command, never across them.
 
 A scope opened by a library entry point or by `cli.main` holds the
-Gamma images, the class images, the Vandermonde generators and the
-seedless piece integrals computed inside it, and closes when that call
-returns.
+Gamma images, the class images, the Vandermonde generators, the beta
+colengths and the seedless piece integrals computed inside it, and
+closes when that call returns.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 import tautcalc
-from tautcalc import cli, polyoracle, tautring
+from tautcalc import cli, polyoracle, staircase, tautring
 from tautcalc.exprparse import evaluate_integral, evaluate_normal
 from tautcalc.schubert import nsec3_terms
 from test_golden import DATA, cases, line
@@ -42,11 +42,14 @@ def computed(monkeypatch):
     for name in ("mul_gamma_diag", "mul_gamma_node"):
         counting(tautring, name, lambda gen: ("gamma", gen))
     counting(polyoracle, "vdm_det", lambda m, i: ("vdm", m, i))
+    counting(staircase, "_beta_single",
+             lambda m, j, eta: ("beta", m, j, eta))
     return counts
 
 
 @pytest.mark.parametrize("argv, kind", [(["verify-paper"], "gamma"),
                                         (["verify-paper"], "vdm"),
+                                        (["verify-paper"], "beta"),
                                         (["vdm-check"], "vdm"),
                                         (["nsec3"], "gamma"),
                                         (["chern", "-m", "3"], "gamma")])

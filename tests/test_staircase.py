@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
+from tautcalc import shares_work, staircase
 from tautcalc.staircase import (
-    _beta_cached,
     _reduce,
     GenericityError,
     InfiniteColengthError,
@@ -163,10 +163,30 @@ def test_beta_closed_form(etas):
             m * j * (m - j) // 2 for j in range(1, m))
 
 
-def test_beta_cache_is_bounded():
-    for k in range(1, 301):
-        assert beta(2, etas=(k, k + 1)) == (1,)
-    assert _beta_cached.cache_info().currsize <= 128
+def test_beta_colengths_shared_within_one_scope_only(monkeypatch):
+    computed = []
+    single = staircase._beta_single
+
+    def counted(m, j, eta):
+        computed.append((m, j, eta))
+        return single(m, j, eta)
+    monkeypatch.setattr(staircase, "_beta_single", counted)
+
+    # with no scope open nothing survives from one call to the next
+    assert beta(4) == beta(4) == (6, 8, 6)
+    assert len(computed) == 12
+
+    @shares_work
+    def rows():
+        return [beta(4), beta(4, 2), beta(4, etas=(1, 2, Fraction(-3, 5)))]
+
+    # one scope computes each (m, j, eta) once: the third eta is new
+    for _ in range(2):
+        computed.clear()
+        assert rows() == [(6, 8, 6), 8, (6, 8, 6)]
+        assert sorted(computed) == sorted(
+            (4, j, Fraction(e)) for j in (1, 2, 3)
+            for e in (1, 2, Fraction(-3, 5)))
 
 
 def test_colength_infinite_detection():
