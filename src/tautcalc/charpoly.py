@@ -22,25 +22,12 @@ Rational = Fraction
 # The characters of the surface.  g2 stores the fibre degree of
 # the relative dualizing class, i.e. 2g-2 for fibre genus g; g2J and g2K
 # are the analogous degrees on the two sides of a generic node.
-DEFAULT_CHARACTERS = ("sigma", "omega2", "omegaL", "L2", "dL", "g2", "g2J", "g2K")
-
-KNOWN_CHARACTERS: set[str] = set(DEFAULT_CHARACTERS)
-
-
-def register_character(name: str) -> str:
-    """Register a character name for use in polynomials.
-
-    Names live in one flat session-wide registry, so re-registering an
-    existing name is a no-op rather than an error.
-    """
-    if not name or not name[0].isalpha() or not name.replace("_", "").isalnum():
-        raise ValueError(f"bad character name: {name!r}")
-    KNOWN_CHARACTERS.add(name)
-    return name
+CHARACTERS = frozenset(
+    ("sigma", "omega2", "omegaL", "L2", "dL", "g2", "g2J", "g2K"))
 
 
 class CharacterPolynomial:
-    """Polynomial over Q in registered character symbols.
+    """Polynomial over Q in the characters of the surface.
 
     Internally a map from monomials to coefficients, where a monomial is
     the tuple of its symbol names sorted ascending (with multiplicity)
@@ -82,7 +69,8 @@ class CharacterPolynomial:
 
     @classmethod
     def symbol(cls, name: str) -> "CharacterPolynomial":
-        register_character(name)
+        if name not in CHARACTERS:
+            raise ValueError(f"unknown character {name!r}")
         return cls._from_normal({(name,): 1})
 
     # -- queries ------------------------------------------------------

@@ -23,7 +23,6 @@ from . import shares_work
 from .charpoly import CharacterPolynomial, symbol
 from .exprparse import ParseError, evaluate_integral, evaluate_normal
 from .polyoracle import (
-    ValuationInstabilityError,
     check_chain,
     check_syzygy,
     derived_eta_exponent,
@@ -556,7 +555,9 @@ _COMMANDS = {
                   [_arg("-m", "--level", type=int, default=None)]),
     "ord-table": (cmd_ord_table, "arc valuations by stratum size",
                   [_arg("-m", "--level", type=int, default=None),
-                   _arg("--seed", type=int, default=0)]),
+                   _arg("--seed", type=int, default=0,
+                        help="accepted and changes nothing: the order is"
+                             " exact")]),
     "eta": (cmd_eta, "t-order of e_m(y)^(i+j-2) G_1^2",
             [_arg("level", type=int), _arg("i", type=int),
              _arg("j", type=int)]),
@@ -617,7 +618,7 @@ def main(argv=None) -> int:
         # first, because a ParseError is also a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ValuationInstabilityError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

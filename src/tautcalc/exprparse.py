@@ -11,7 +11,7 @@ Grammar (whitespace insensitive):
              | 'q' '[' blocks ']' '(' keys ')'
              | ('F' | 'NS') '(' profile ')'
              | NAME '(' INT ')'          slot class, e.g. L(2)
-             | NAME                      registered character constant
+             | NAME                      a character of the surface
 
 A slot class NAME(i) is a class of the surface pulled back from slot
 i, named by its block key: `omega`, `L` and `f` are divisors (degree
@@ -38,7 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
-from .charpoly import KNOWN_CHARACTERS, CharacterPolynomial
+from .charpoly import CHARACTERS, ZERO, CharacterPolynomial
 from .tautring import (
     DiagMonomial,
     NodeClass,
@@ -205,7 +205,7 @@ class _Parser:
             slot = self.index_in("INT", 1, self.level, "slot")
             self.expect(")")
             return ("class", name, slot)
-        if name not in KNOWN_CHARACTERS:
+        if name not in CHARACTERS:
             raise ParseError(f"unknown character {name!r}", tok[2], self.text)
         return ("char", name)
 
@@ -354,8 +354,9 @@ def to_words(ast, m: int):
     whatever the codimension, so then the codimension is left out).
     The stand-ins of a product are collected by their level-one factors
     and number of seeds: the first one seen, which the checks reach
-    first, stays with the sum of the coefficients.  So a power of a sum
-    takes bounded work per step.
+    first, stays.  The checks refuse or drop a stand-in and never read
+    its coefficient, so every stand-in carries 0 and none is multiplied
+    or summed.  So a power of a sum takes bounded work per step.
     """
     return [(c, _factors(word)) for c, word in _words(ast, m)]
 
@@ -427,8 +428,8 @@ def _words(ast, m: int):
                 return [(c ** n, (tuple((f, k * n) for f, k in powers),
                                   seeds * n, codim * n))]
             past = _as_past(word)
-            return [(c ** n, _Past(past.codim * n, past.level_one,
-                                   (past.seeds * min(n, 2))[:2]))]
+            return [(ZERO, _Past(past.codim * n, past.level_one,
+                                 (past.seeds * min(n, 2))[:2]))]
         # repeated squaring, about 2 log2(n) products as in
         # CharacterPolynomial.__pow__.  A product lists each like word
         # where its lexicographically first sequence of base words puts
@@ -467,9 +468,10 @@ def _product(left, right, m: int):
                 if word[2] > m + 1:
                     word = _as_past(word)
             if isinstance(word, _Past):
-                key = ("past", word.level_one, len(word.seeds))
-            else:
-                key = (word[0], tuple(id(seed) for _, seed in word[1]))
+                out.setdefault(("past", word.level_one, len(word.seeds)),
+                               (ZERO, word))
+                continue
+            key = (word[0], tuple(id(seed) for _, seed in word[1]))
             c = c1 * c2
             if key in out:
                 c, word = out[key][0] + c, out[key][1]

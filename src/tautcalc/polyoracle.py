@@ -11,14 +11,24 @@ intersection calculus is checked against.
 Monomials x^a y^b t^e with some min(a_i, b_i) > 0 are reduced by
 x_i y_i -> t.  Reduced monomials stay reduced under multiplication by
 t, so the minimal t-exponent of a normal form is the exact t-adic
-valuation.
+valuation.  A product adds the exponents and reduces x_i y_i -> t in
+one pass.
 
-The kernels work in Python ints wherever the values are integers.  A
-product adds the exponents and reduces x_i y_i -> t in one pass.  An
-arc restriction multiplies every term by the same nonzero product of
-powers of its constants, which makes every power of a constant a
-non-negative int power; a common nonzero factor cannot change which
-t-powers cancel, so the valuation is the same as over Q.
+The t-adic orders of `arc_valuation` and `eta_valuation` are read off
+the terms, with no cancellation to look for.  A reduced monomial
+x^a y^b t^e has min(a_i, b_i) = 0 in every slot, so its vector
+(a - b, |b| + e) in Z^(m+1) determines it, and the reduction
+x_i y_i -> t keeps that vector.  So:
+
+- multiplying by a monomial adds a fixed vector and sends distinct
+  reduced monomials to distinct ones: no two terms cancel;
+- on a coordinate arc (x_i = c_i, y_i = t/c_i on the component,
+  x_i = t/c_i, y_i = c_i off it) a term is +-c^(+-(a - b)) times a
+  power of t, so two distinct terms at the same t-power have distinct
+  a - b and carry distinct monomials in the constants c_i: for generic
+  constants no two cancel.
+
+Either way the order is the least t-exponent over the terms.
 
 Inside a shared-work scope (`tautcalc.shares_work`, opened by every
 `taut-calc` command) each generator G_i, and G_1^2, is built once.  This
@@ -27,7 +37,6 @@ its generators afresh.
 """
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -35,11 +44,6 @@ from operator import add
 from . import shared_table
 
 Coeff = int | Fraction
-
-
-class ValuationInstabilityError(RuntimeError):
-    """Arc valuations kept disagreeing, or vanishing, across random
-    parameter draws."""
 
 
 class QuotPoly:
@@ -125,12 +129,6 @@ class QuotPoly:
         return QuotPoly._from_normal(m, {k: v for k, v in out.items() if v})
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = QuotPoly.constant(self.m, 1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __eq__(self, other):
         return isinstance(other, QuotPoly) and self.m == other.m and self.terms == other.terms
@@ -277,71 +275,23 @@ def check_syzygy(m: int, i: int, j: int, kind: str = "lower") -> int:
 # -- arc valuations ----------------------------------------------------
 
 
-def arc_valuation(m: int, j: int, component, seed: int = 0) -> int:
+def arc_valuation(m: int, j: int, component) -> int:
     """t-adic order of G_j along an arc through the stratum `component`.
 
     `component` is the set of slots whose x-coordinate stays generic
-    (x_i = c_i, y_i = t/c_i); the remaining slots have y generic.  Two
-    independent random draws of the constants must agree; a draw whose
-    restriction vanishes, or two draws that disagree, are accidental
-    cancellations and trigger a retry, up to 5 attempts, then an error.
+    (x_i = c_i, y_i = t/c_i); the remaining slots have y generic
+    (x_i = t/c_i, y_i = c_i).  A term x^a y^b t^e then has t-order
+    e + sum of b_i on the component + sum of a_i off it, and for generic
+    constants the order of G_j is the least of these (see the module
+    docstring).
     """
     I = frozenset(component)
     if not I <= set(range(1, m + 1)):
         raise ValueError(f"component {sorted(I)} not within [1, {m}]")
-    g = _generator(m, j)
-    attempts = []
-    for attempt in range(5):
-        vals = []
-        for sub in range(2):
-            rng = random.Random(hash((seed, attempt, sub, m, j, tuple(sorted(I)))))
-            consts = [rng.randint(2, 10 ** 6) for _ in range(m)]
-            vals.append(_substituted_valuation(g, m, I, consts))
-        if vals[0] is not None and vals[0] == vals[1]:
-            return vals[0]
-        attempts.append(tuple(vals))
-    raise ValuationInstabilityError(
-        f"valuation of G_{j} on {sorted(I)} unstable after 5 draws"
-        f" (None: the restriction vanished): {attempts}"
-    )
-
-
-def _substituted_valuation(g: QuotPoly, m: int, I: frozenset, consts) -> int | None:
-    """t-order of g at x_i = c_i, y_i = t/c_i for i in I and at
-    x_i = t/c_i, y_i = c_i off I, or None if the restriction vanishes.
-
-    `consts` lists the nonzero int constants c_1..c_m.  Every term is
-    multiplied by the same prod c_i^(-d_i), with d_i the lowest exponent
-    of c_i over all terms or 0 if none is negative, so every power is a
-    non-negative int power.
-    """
-    on = [i + 1 in I for i in range(m)]
-    n = 2 * m
-    rows = []
-    low = [0] * m
-    for mono, coeff in g.terms.items():
-        t_exp = mono[n]
-        exps = []
-        for i in range(m):
-            xe, ye = mono[i], mono[m + i]
-            if on[i]:
-                t_exp += ye
-                e = xe - ye
-            else:
-                t_exp += xe
-                e = ye - xe
-            if e < low[i]:
-                low[i] = e
-            exps.append(e)
-        rows.append((t_exp, coeff, exps))
-    by_exponent: dict[int, Coeff] = {}
-    for t_exp, scale, exps in rows:
-        for c, e, d in zip(consts, exps, low):
-            if e != d:
-                scale *= c ** (e - d)
-        by_exponent[t_exp] = by_exponent.get(t_exp, 0) + scale
-    orders = [e for e, s in by_exponent.items() if s]
-    return min(orders) if orders else None
+    # the exponent offset in a monomial of each slot's t-carrying variable
+    offsets = [m + i - 1 if i in I else i - 1 for i in range(1, m + 1)]
+    return min(mono[2 * m] + sum(mono[k] for k in offsets)
+               for mono in _generator(m, j).terms)
 
 
 def ord_table(m: int, seed: int = 0) -> dict[tuple[int, int], int]:
@@ -349,15 +299,16 @@ def ord_table(m: int, seed: int = 0) -> dict[tuple[int, int], int]:
 
     The valuation only depends on |component|; this is verified on two
     distinct components per size where possible.  Keys are (j, size).
+    The order is exact, so `seed` is accepted and changes nothing.
     """
     table: dict[tuple[int, int], int] = {}
     for j in range(1, m + 1):
         for size in range(m + 1):
             first = frozenset(range(1, size + 1))
-            value = arc_valuation(m, j, first, seed)
+            value = arc_valuation(m, j, first)
             if 0 < size < m:
                 second = frozenset(range(m - size + 1, m + 1))
-                other = arc_valuation(m, j, second, seed)
+                other = arc_valuation(m, j, second)
                 if other != value:
                     raise AssertionError(
                         f"valuation depends on the component, not just its size: "
@@ -377,11 +328,9 @@ def eta_valuation(m: int, i: int, j: int) -> int:
 
     e_m(y)^k is the single monomial (y_1...y_m)^k.  Times a reduced
     monomial x^a y^b t^e it reduces to t-exponent e + sum_l min(a_l, k),
-    since b_l = 0 wherever a_l > 0.  Multiplying by a monomial sends
-    distinct reduced monomials to distinct ones (x^a y^b t^e has the
-    exponent vector (a - b, |b| + e) in Z^(m+1), and the product adds
-    vectors), so no term cancels: the valuation is the least of these
-    exponents over the terms of G_1^2.
+    since b_l = 0 wherever a_l > 0.  Multiplying by a monomial cancels
+    no term (see the module docstring), so the valuation is the least of
+    these exponents over the terms of G_1^2.
     """
     if not (1 <= i <= m and 1 <= j <= m):
         raise ValueError(f"indices ({i}, {j}) out of range for level {m}")

@@ -8,12 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautcalc import tautring
-from tautcalc.charpoly import (
-    CharacterPolynomial,
-    register_character,
-    symbol,
-)
-from tautcalc.exprparse import evaluate_integral, evaluate_normal
+from tautcalc.charpoly import CHARACTERS, CharacterPolynomial, symbol
+from tautcalc.exprparse import ParseError, evaluate_integral, evaluate_normal
 from tautcalc.schubert import nsec3, nsec3_terms
 from test_golden import cases
 
@@ -92,15 +88,23 @@ def test_render_canonical():
     assert (s * s + s + 1).render() == "sigma^2 + sigma + 1"
 
 
-def test_registry_and_names():
-    name = register_character("kappa_1")
-    assert name == "kappa_1"
-    p = symbol("kappa_1") * 2
-    assert p.render() == "2*kappa_1"
-    with pytest.raises(ValueError):
-        register_character("3bad")
-    with pytest.raises(ValueError):
-        register_character("")
+def test_fixed_characters_and_names():
+    assert CHARACTERS == {"sigma", "omega2", "omegaL", "L2", "dL", "g2",
+                          "g2J", "g2K"}
+    assert isinstance(CHARACTERS, frozenset)
+    for name in CHARACTERS:
+        assert (symbol(name) * 2).render() == f"2*{name}"
+        assert tautring.render_expr(evaluate_normal(f"2*{name}", 2)) == f"2*{name}"
+    for name in ("kappa_1", "3bad", ""):
+        with pytest.raises(ValueError, match="unknown character"):
+            symbol(name)
+    # an unknown name is refused where it stands, and stays unknown
+    for _ in range(2):
+        with pytest.raises(ParseError, match="unknown character 'kappa_1'"
+                           " at line 1, column 3") as info:
+            evaluate_normal("2*kappa_1", 2)
+        assert info.value.pos == 2
+    assert "kappa_1" not in CHARACTERS
 
 
 def test_parse_rational():

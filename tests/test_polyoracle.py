@@ -2,14 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
 
-from tautcalc import polyoracle
+from tautcalc import shares_work
 from tautcalc.polyoracle import (
     QuotPoly,
-    ValuationInstabilityError,
     arc_valuation,
     check_chain,
     check_syzygy,
@@ -49,6 +49,14 @@ def t(m):
     return _variable(m, 2 * m)
 
 
+def power(p, n):
+    """p^n as n products."""
+    result = QuotPoly.constant(p.m, 1)
+    for _ in range(n):
+        result = result * p
+    return result
+
+
 def t_valuation(p):
     """Exact t-adic valuation of a nonzero element."""
     assert p.terms, "zero element has no valuation"
@@ -59,7 +67,7 @@ def test_normal_form_basic():
     m = 2
     assert x(m, 1) * y(m, 1) == t(m)
     assert x(m, 1) * y(m, 2) != t(m)
-    p = x(m, 1) ** 2 * y(m, 1)
+    p = power(x(m, 1), 2) * y(m, 1)
     assert p == x(m, 1) * t(m)
 
 
@@ -210,25 +218,28 @@ def test_ord_table_matches_derived_formula():
             assert zero_sizes == {m - j, m - j + 1} & set(range(m + 1))
 
 
-def test_ord_table_retries_a_vanished_draw():
-    # at seed 226 one draw of level 4 gives two slots on the same side
-    # of the component equal constants, so its restriction vanishes
-    table = ord_table(4, 226)
-    assert table == {(j, size): derived_ord_formula(4, j, size)
-                     for j in range(1, 5) for size in range(5)}
+@shares_work
+def test_arc_valuation_on_every_component_matches_derived_formula():
+    # one scope, so each G_j is built once
+    for m in range(1, 7):
+        for j in range(1, m + 1):
+            for size in range(m + 1):
+                want = derived_ord_formula(m, j, size)
+                for component in combinations(range(1, m + 1), size):
+                    assert arc_valuation(m, j, component) == want
 
 
-def test_vanished_draws_raise_only_after_five_attempts(monkeypatch):
-    calls = []
+def test_ord_table_at_the_seeds_that_once_drew_vanishing_constants():
+    # at these seeds the sampled order once drew two equal constants on
+    # the same side of the component, so a restriction vanished
+    for seed in (226, 352557):
+        assert ord_table(4, seed) == {(j, size): derived_ord_formula(4, j, size)
+                                      for j in range(1, 5) for size in range(5)}
 
-    def vanishing(g, m, I, consts):
-        calls.append(consts)
-        return None
 
-    monkeypatch.setattr(polyoracle, "_substituted_valuation", vanishing)
-    with pytest.raises(ValuationInstabilityError, match="after 5 draws"):
-        arc_valuation(3, 1, {1})
-    assert len(calls) == 10
+def test_arc_valuation_refuses_a_slot_outside_the_level():
+    with pytest.raises(ValueError, match=r"component \[0, 2\] not within \[1, 3\]"):
+        arc_valuation(3, 1, {0, 2})
 
 
 def test_printed_ord_formula_is_doubled_complement_count():
@@ -262,7 +273,8 @@ def test_eta_valuation_reads_the_product_off_g1_squared():
         g1 = vdm_det(m, 1)
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                product = elementary_symmetric(m, m, "y") ** (i + j - 2) * g1 * g1
+                product = power(elementary_symmetric(m, m, "y"),
+                                i + j - 2) * g1 * g1
                 assert eta_valuation(m, i, j) == t_valuation(product)
 
 
