@@ -491,7 +491,7 @@ _RANGES = {
     "colength": [("level", _LEVEL, 1, 300, _BUCHBERGER)],
     # the chain and syzygy identities start at level 2
     "vdm-check": [("level", _LEVEL, 2, 7, _FACTORIAL)],
-    "ord-table": [("level", _LEVEL, 1, 6, _FACTORIAL)],
+    "ord-table": [("level", _LEVEL, 1, 7, _FACTORIAL)],
     "eta": [("level", _LEVEL, 1, 6, "G_1^2 multiplies (m!)^2 term pairs"),
             ("i", attrgetter("i"), 1, _LEVEL, "indices run to the level"),
             ("j", attrgetter("j"), 1, _LEVEL, "indices run to the level")],
@@ -501,7 +501,7 @@ _RANGES = {
     "schubert": [
         ("box side", attrgetter("box"), 0, None, None),
         ("box a+b", lambda args: sum(args.box), None, 16,
-         "the Pieri fold of box 8,8 takes up to 2 s, 9,9 up to 9 s"),
+         "the Pieri fold of box 8,8 takes up to 0.7 s, 9,9 up to 2 s"),
         ("factor size", lambda args: tuple(j for _, j in args.factors), 0,
          lambda args: max(args.box), "a special class fits in the box")],
 }

@@ -1,23 +1,22 @@
 """Pieri calculus on a boxed Grassmannian, and the node-section count.
 
 Schur classes live inside a fixed a x b bounding box (the Grassmannian
-of a-planes in a+b space).  Only special classes are ever multiplied,
-so the Pieri rule is the whole ring structure we need.  The final
-consumer is nsec3, which assembles the count of 3-node sections of a
-line bundle from Grassmannian degrees and fibre-power integrals.
+of a-planes in a+b space).  A class is its partition padded to a rows,
+a tuple of a weakly decreasing ints at most b; a combination of classes
+is a dict {rows: int}.  Only special classes are ever multiplied, so
+the Pieri rule is the whole ring structure we need, and every
+coefficient it makes is a count of strips, an int.  The final consumer
+is nsec3, which assembles the count of 3-node sections of a line
+bundle from Grassmannian degrees and fibre-power integrals.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import shares_work
 from .charpoly import CharacterPolynomial
 from .exprparse import evaluate_integral
 
 __all__ = [
-    "BoxPartition",
-    "SchurExpr",
     "pieri_mul",
     "grassmann_integral",
     "nsec3",
@@ -26,143 +25,52 @@ __all__ = [
 ]
 
 
-class BoxPartition:
-    """Weakly decreasing rows inside an a x b box."""
+def _strips(lam, b, j, kind):
+    """The rows mu in the len(lam) x b box that add a strip of j boxes
+    to lam.  A row strip adds at most lam[i-1] - lam[i] boxes to row i;
+    a column strip adds at most one box to each row and keeps the rows
+    weakly decreasing.  Row 0 never passes b."""
+    a = len(lam)
 
-    __slots__ = ("rows", "box")
-
-    def __init__(self, rows, box):
-        a, b = box
-        rows = tuple(r for r in rows if r)
-        if len(rows) > a or any(r > b for r in rows):
-            raise ValueError(f"partition {rows} exceeds box {box}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
-            raise ValueError(f"rows not weakly decreasing: {rows}")
-        if any(r < 0 for r in rows):
-            raise ValueError(f"negative row in {rows}")
-        self.rows = rows
-        self.box = (a, b)
-
-    def padded(self):
-        return self.rows + (0,) * (self.box[0] - len(self.rows))
-
-    def conjugate(self) -> "BoxPartition":
-        a, b = self.box
-        rows = self.padded()
-        cols = tuple(sum(1 for r in rows if r > j) for j in range(b))
-        return BoxPartition(cols, (b, a))
-
-    def __eq__(self, other):
-        return (isinstance(other, BoxPartition)
-                and self.rows == other.rows and self.box == other.box)
-
-    def __hash__(self):
-        return hash((self.rows, self.box))
-
-    def __repr__(self):
-        return f"BoxPartition({self.rows}, box={self.box})"
-
-
-class SchurExpr:
-    """Rational combination of box partitions, all in one box."""
-
-    __slots__ = ("box", "terms")
-
-    def __init__(self, box, terms=None):
-        self.box = tuple(box)
-        self.terms = {}
-        if terms:
-            for part, coeff in terms.items():
-                self.add(part, coeff)
-
-    @classmethod
-    def unit(cls, box) -> "SchurExpr":
-        return cls(box, {BoxPartition((), box): Fraction(1)})
-
-    def add(self, part: BoxPartition, coeff):
-        if part.box != self.box:
-            raise ValueError("box mismatch")
-        c = Fraction(coeff)
-        if not c:
-            return
-        total = self.terms.get(part, Fraction(0)) + c
-        if total:
-            self.terms[part] = total
-        else:
-            self.terms.pop(part, None)
-
-    def coefficient(self, part: BoxPartition) -> Fraction:
-        return self.terms.get(part, Fraction(0))
-
-    def __eq__(self, other):
-        return (isinstance(other, SchurExpr) and self.box == other.box
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*s{p.rows}" for p, c in sorted(
-            self.terms.items(), key=lambda t: t[0].rows))
-        return f"SchurExpr({body or '0'})"
-
-
-def _row_strips(part: BoxPartition, j: int):
-    """Partitions obtained by adding a horizontal strip of size j."""
-    a, b = part.box
-    lam = part.padded()
-
-    def rec(i, remaining, prev_mu, acc):
+    def rec(i, remaining, mu):
         if i == a:
-            if remaining == 0:
-                yield BoxPartition(tuple(acc), part.box)
+            if not remaining:
+                yield mu
             return
-        # horizontal strip: lam[i] <= mu[i] <= min(prev row's mu, box
-        # width) and mu[i+1] may not exceed lam[i]
-        hi = min(b if i == 0 else prev_mu, lam[i] + remaining)
-        if i > 0:
-            hi = min(hi, lam[i - 1])
-        for mu_i in range(lam[i], hi + 1):
-            yield from rec(i + 1, remaining - (mu_i - lam[i]), mu_i,
-                           acc + [mu_i])
+        top = b if i == 0 else lam[i - 1] if kind == "row" else mu[i - 1]
+        step = remaining if kind == "row" else min(remaining, 1)
+        for r in range(lam[i], min(top, lam[i] + step) + 1):
+            yield from rec(i + 1, remaining - (r - lam[i]), mu + (r,))
 
-    yield from rec(0, j, b, [])
+    return rec(0, j, ())
 
 
-def _column_strips(part: BoxPartition, j: int):
-    """Partitions obtained by adding a vertical strip of size j: the
-    conjugates of the row-strip additions to the conjugate."""
-    for mu in _row_strips(part.conjugate(), j):
-        yield mu.conjugate()
-
-
-def pieri_mul(e: SchurExpr, special) -> SchurExpr:
-    """Multiply by a special Schur class (single row or column)."""
+def pieri_mul(terms: dict, box, special) -> dict:
+    """Multiply {rows: coefficient} in the box by a special Schur class,
+    ("row", j) or ("column", j)."""
     kind, j = special
-    if j < 0 or j > max(e.box):
-        raise ValueError(f"special class size {j} outside box {e.box}")
-    out = SchurExpr(e.box)
-    if j == 0:
-        for part, coeff in e.terms.items():
-            out.add(part, coeff)
-        return out
-    strips = _row_strips if kind == "row" else _column_strips
+    if j < 0 or j > max(box):
+        raise ValueError(f"special class size {j} outside box {tuple(box)}")
     if kind not in ("row", "column"):
         raise ValueError(f"unknown special kind {kind!r}")
-    for part, coeff in e.terms.items():
-        for mu in strips(part, j):
-            out.add(mu, coeff)
+    out = {}
+    for lam, coeff in terms.items():
+        for mu in _strips(lam, box[1], j, kind):
+            out[mu] = out.get(mu, 0) + coeff
     return out
 
 
-def grassmann_integral(box, factors) -> Fraction:
+def grassmann_integral(box, factors) -> int:
     """Coefficient of the full box after folding the special factors.
 
     Each Pieri step adds its size to the weight, so factors whose sizes
     do not sum to a*b give 0.
     """
     a, b = box
-    e = SchurExpr.unit(box)
+    terms = {(0,) * a: 1}
     for factor in factors:
-        e = pieri_mul(e, factor)
-    return e.coefficient(BoxPartition((b,) * a, box))
+        terms = pieri_mul(terms, box, factor)
+    return terms.get((b,) * a, 0)
 
 
 # -- node-section count for m = 3 ---------------------------------------

@@ -45,9 +45,6 @@ class SurfaceGeometry:
             raise KeyError(f"no pairing registered for divisors {a!r}, {b!r}")
         return self.pairing[key]
 
-    def side_omega_degree(self, side: str) -> CharacterPolynomial:
-        return self.side_degrees[side]
-
 
 # the surface; look `GEOMETRY.pair` up when it is called, never bind it
 # once, so a wrapper put on the class method later still sees every call

@@ -635,7 +635,7 @@ def _resolve_c2(node: NodeClass, coeff: int, mv1, mv2):
         if pinned is None:
             return None
         side_tag = "J" if mv1[1] == "jblocks" else "K"
-        return coeff * (-GEOMETRY.side_omega_degree(side_tag)), pinned
+        return coeff * (-GEOMETRY.side_degrees[side_tag]), pinned
     if mv2[0] == "pair":
         mv1, mv2 = mv2, mv1
     first = _apply_move(node, mv1)

@@ -433,8 +433,8 @@ class TestCliExitCodes:
          " fails with side block key 'pt' has degree > 1"),
         (["chern", "-m", "10"], "level 10 above 5"),
         (["vdm-check", "-m", "8"], "level 8 above 7"),
-        (["ord-table", "-m", "7"], "level 7 above 6"),
-        (["ord-table", "-m", "40", "--seed", "3"], "level 40 above 6"),
+        (["ord-table", "-m", "8"], "level 8 above 7"),
+        (["ord-table", "-m", "40", "--seed", "3"], "level 40 above 7"),
         (["eta", "7", "1", "2"], "level 7 above 6"),
         (["eta", "1000", "1", "1"], "level 1000 above 6"),
         (["eta", "0", "1", "1"], "level 0 below 1"),

@@ -1,17 +1,15 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
 from tautcalc.charpoly import CharacterPolynomial as CP, symbol
 from tautcalc.schubert import (
     NSEC3_TUPLES,
-    BoxPartition,
-    SchurExpr,
-    _column_strips,
+    _strips,
     grassmann_integral,
     nsec3,
     nsec3_terms,
@@ -26,11 +24,15 @@ dL = symbol("dL")
 g2 = symbol("g2")
 
 
-def column_strips_by_bumps(part: BoxPartition, j: int):
+def box_partitions(a: int, b: int):
+    """Every partition in the a x b box, padded to a rows."""
+    return combinations_with_replacement(range(b, -1, -1), a)
+
+
+def column_strips_by_bumps(lam, b: int, j: int):
     """Vertical strips of size j, found by walking every 0/1 vector of
-    row bumps: the reference enumerator for `_column_strips`."""
-    a, b = part.box
-    lam = part.padded()
+    row bumps: the reference enumerator for column strips."""
+    a = len(lam)
     for bumps in product((0, 1), repeat=a):
         if sum(bumps) != j:
             continue
@@ -39,64 +41,84 @@ def column_strips_by_bumps(part: BoxPartition, j: int):
             continue
         if mu[0] > b:
             continue
-        yield BoxPartition(mu, part.box)
+        yield mu
 
 
-def box_partitions(a: int, b: int):
-    for rows in combinations_with_replacement(range(b, -1, -1), a):
-        yield BoxPartition(rows, (a, b))
+def row_strips_by_interlacing(lam, b: int, j: int):
+    """Horizontal strips of size j, found by walking every partition mu
+    in the box: mu1 >= lam1 >= mu2 >= lam2 >= ... and |mu| - |lam| = j.
+    The reference enumerator for row strips."""
+    a = len(lam)
+    for mu in box_partitions(a, b):
+        if sum(mu) - sum(lam) != j:
+            continue
+        if all(mu[i] >= lam[i] for i in range(a)) and all(
+                lam[i] >= mu[i + 1] for i in range(a - 1)):
+            yield mu
 
 
-class TestBoxPartition:
-    def test_zero_rows_dropped(self):
-        assert BoxPartition((3, 1, 0), (3, 4)).rows == (3, 1)
+def strip_cases(kind, reference) -> int:
+    """Compare `_strips` of one kind with its reference on every
+    partition in every box up to 6 x 6 and every nonzero strip size that
+    fits the box; return the number of cases."""
+    cases = 0
+    for a, b in product(range(7), repeat=2):
+        for lam in box_partitions(a, b):
+            for j in range(1, max(a, b) + 1):
+                got = sorted(_strips(lam, b, j, kind))
+                want = sorted(reference(lam, b, j))
+                assert got == want, (lam, b, j)
+                cases += 1
+    return cases
 
-    def test_box_limits(self):
-        with pytest.raises(ValueError):
-            BoxPartition((5,), (2, 4))
-        with pytest.raises(ValueError):
-            BoxPartition((1, 1, 1), (2, 4))
-        with pytest.raises(ValueError):
-            BoxPartition((1, 2), (2, 4))
 
-    def test_conjugate(self):
-        p = BoxPartition((3, 1), (2, 4))
-        assert p.conjugate() == BoxPartition((2, 1, 1), (4, 2))
-        assert p.conjugate().conjugate() == p
+def conjugate(rows, b: int):
+    """The conjugate of a padded partition in an a x b box, padded to b
+    rows."""
+    return tuple(sum(1 for r in rows if r > k) for k in range(b))
+
+
+def fold(box, factors):
+    terms = {(0,) * box[0]: 1}
+    for f in factors:
+        terms = pieri_mul(terms, box, f)
+    return terms
+
+
+def hook_length_count(a: int, b: int) -> int:
+    """Standard Young tableaux of the a x b rectangle, by the hook-length
+    formula: (ab)! over the product of the hooks (a-i) + (b-k) - 1."""
+    hooks = prod(a - i + b - k - 1 for i in range(a) for k in range(b))
+    return factorial(a * b) // hooks
 
 
 class TestPieri:
     def test_unit_times_row(self):
-        e = pieri_mul(SchurExpr.unit((2, 2)), ("row", 1))
-        assert e == SchurExpr((2, 2), {BoxPartition((1,), (2, 2)): Fraction(1)})
+        assert pieri_mul({(0, 0): 1}, (2, 2), ("row", 1)) == {(1, 0): 1}
 
     def test_row_strip_enumeration(self):
-        e = SchurExpr((2, 4), {BoxPartition((3,), (2, 4)): Fraction(1)})
-        got = pieri_mul(e, ("row", 3))
-        want = SchurExpr((2, 4), {
-            BoxPartition((4, 2), (2, 4)): Fraction(1),
-            BoxPartition((3, 3), (2, 4)): Fraction(1),
-        })
-        assert got == want
+        got = pieri_mul({(3, 0): 1}, (2, 4), ("row", 3))
+        assert got == {(4, 2): 1, (3, 3): 1}
 
     def test_column_strips_match_the_bump_vectors(self):
-        # every partition in every box up to 6 x 6, every strip size that
-        # pieri_mul passes on (it answers size 0 itself)
-        cases = 0
-        for a, b in product(range(7), repeat=2):
-            for part in box_partitions(a, b):
-                for j in range(1, max(a, b) + 1):
-                    got = sorted(p.rows for p in _column_strips(part, j))
-                    want = sorted(p.rows
-                                  for p in column_strips_by_bumps(part, j))
-                    assert got == want, (part, j)
-                    cases += 1
-        assert cases == 19318
+        assert strip_cases("column", column_strips_by_bumps) == 19318
+
+    def test_row_strips_match_the_interlacing(self):
+        assert strip_cases("row", row_strips_by_interlacing) == 19318
 
     def test_size_zero_is_identity(self):
-        e = SchurExpr((2, 4), {BoxPartition((2, 1), (2, 4)): Fraction(5)})
-        assert pieri_mul(e, ("row", 0)) == e
-        assert pieri_mul(e, ("column", 0)) == e
+        terms = {(2, 1): 5}
+        assert pieri_mul(terms, (2, 4), ("row", 0)) == terms
+        assert pieri_mul(terms, (2, 4), ("column", 0)) == terms
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="unknown special kind 'diag'"):
+            pieri_mul({(0, 0): 1}, (2, 4), ("diag", 1))
+        with pytest.raises(ValueError,
+                           match=r"special class size 5 outside box \(2, 4\)"):
+            pieri_mul({(0, 0): 1}, (2, 4), ("row", 5))
+        with pytest.raises(ValueError, match="size -1 outside"):
+            pieri_mul({(0, 0): 1}, (2, 4), ("column", -1))
 
     def test_commutativity(self):
         rng = random.Random(11)
@@ -105,25 +127,20 @@ class TestPieri:
                        for _ in range(4)]
             perm = factors[:]
             rng.shuffle(perm)
-            a = SchurExpr.unit((3, 3))
-            b = SchurExpr.unit((3, 3))
-            for f in factors:
-                a = pieri_mul(a, f)
-            for f in perm:
-                b = pieri_mul(b, f)
-            assert a == b
+            assert fold((3, 3), factors) == fold((3, 3), perm)
 
     def test_transpose_duality(self):
-        factors = [("row", 2), ("row", 3), ("row", 3)]
-        a = SchurExpr.unit((2, 4))
-        for f in factors:
-            a = pieri_mul(a, f)
-        b = SchurExpr.unit((4, 2))
-        for kind, j in factors:
-            b = pieri_mul(b, ("column", j))
-        conj = SchurExpr((4, 2),
-                         {p.conjugate(): c for p, c in a.terms.items()})
-        assert b == conj
+        # rows in the a x b box are columns in the b x a box, for every
+        # box up to 4 x 4
+        rng = random.Random(7)
+        for a, b in product(range(5), repeat=2):
+            for _ in range(6):
+                sizes = [rng.randint(0, max(a, b))
+                         for _ in range(rng.randint(1, 5))]
+                rows = fold((a, b), [("row", j) for j in sizes])
+                cols = fold((b, a), [("column", j) for j in sizes])
+                assert cols == {conjugate(p, b): c
+                                for p, c in rows.items()}, (a, b, sizes)
 
 
 class TestGrassmannIntegral:
@@ -143,13 +160,23 @@ class TestGrassmannIntegral:
         vals = {grassmann_integral((2, 4), perm)
                 for perm in ([factors[i] for i in order]
                              for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)))}
-        assert vals == {Fraction(1)}
+        assert vals == {1}
 
     def test_column_convention_matches_transpose(self):
         v_row = grassmann_integral((2, 4), [("row", 2), ("row", 3), ("row", 3)])
         v_col = grassmann_integral((4, 2),
                                    [("column", 2), ("column", 3), ("column", 3)])
         assert v_row == v_col == 1
+
+    def test_hyperplane_powers_count_the_tableaux(self):
+        # the degree of the a x b Grassmannian, a*b factors r1, is the
+        # number of standard tableaux of the rectangle
+        for a, b in product(range(11), repeat=2):
+            if a + b > 10:
+                continue
+            got = grassmann_integral((a, b), [("row", 1)] * (a * b))
+            assert type(got) is int
+            assert got == hook_length_count(a, b), (a, b)
 
 
 class TestNodeSectionCount:
