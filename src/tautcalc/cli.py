@@ -7,6 +7,10 @@ and a regression driver (verify-paper) that replays every recorded
 reference value and reports engine-vs-printed discrepancies as NOTE
 lines.
 
+Each command imports the modules it runs inside its own function, so a
+fresh interpreter compiles and loads no engine for a staircase command
+and no oracle for an engine command.
+
 Exit codes: 0 success, 1 parse or usage error, 2 grading/dimension or
 unsupported-product error, 3 verify-paper mismatch.
 """
@@ -20,28 +24,6 @@ from math import comb
 from operator import attrgetter
 
 from . import shares_work
-from .charpoly import CharacterPolynomial, symbol
-from .exprparse import ParseError, evaluate_integral, evaluate_normal
-from .polyoracle import (
-    check_chain,
-    check_syzygy,
-    derived_eta_exponent,
-    eta_valuation,
-    ord_table,
-    printed_eta_exponent,
-    printed_ord_formula,
-)
-from .schubert import NSEC3_TUPLES, _nsec3_sum, grassmann_integral, nsec3_terms
-from .staircase import (
-    alpha,
-    beta,
-    colength,
-    j_m,
-    monomial_poly,
-    printed_alpha_closed_form,
-)
-from .surface import parse_character_config
-from .tautring import chern_taut, integrate_word, render_expr
 
 __all__ = ["main"]
 
@@ -69,6 +51,7 @@ def _rational(text: str) -> Fraction:
 def _load_assignment(path: str | None) -> dict:
     if path is None:
         return {}
+    from .surface import parse_character_config
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_character_config(handle.read())
@@ -78,7 +61,7 @@ def _load_assignment(path: str | None) -> dict:
         raise _UsageError(str(exc))
 
 
-def _finish(poly: CharacterPolynomial, assignment: dict) -> CharacterPolynomial:
+def _finish(poly, assignment: dict):
     return poly.evaluate(assignment) if assignment else poly
 
 
@@ -110,6 +93,7 @@ def _etas_from(args):
 
 
 def cmd_alpha(args) -> int:
+    from .staircase import alpha, printed_alpha_closed_form
     m = args.level
     value = alpha(m)
     printed = printed_alpha_closed_form(m)
@@ -124,6 +108,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    from .staircase import beta
     m = args.level
     etas = _etas_from(args)
     if args.slope is not None:
@@ -136,12 +121,14 @@ def cmd_beta(args) -> int:
 
 
 def cmd_colength(args) -> int:
+    from .staircase import colength, j_m, monomial_poly
     gens = [monomial_poly(c) for c in j_m(args.level)]
     _emit(args, [("colength", colength(gens))])
     return 0
 
 
 def cmd_vdm_check(args) -> int:
+    from .polyoracle import check_chain, check_syzygy
     top = 5 if args.level is None else args.level
     for m in range(2, top + 1):
         for i in range(1, m):
@@ -160,6 +147,7 @@ def cmd_vdm_check(args) -> int:
 
 
 def cmd_ord_table(args) -> int:
+    from .polyoracle import ord_table, printed_ord_formula
     m = 4 if args.level is None else args.level
     table = ord_table(m, seed=args.seed)
     for j in range(1, m + 1):
@@ -175,6 +163,8 @@ def cmd_ord_table(args) -> int:
 
 
 def cmd_eta(args) -> int:
+    from .polyoracle import (derived_eta_exponent, eta_valuation,
+                             printed_eta_exponent)
     m, i, j = args.level, args.i, args.j
     value = eta_valuation(m, i, j)
     derived = derived_eta_exponent(m, i, j)
@@ -196,12 +186,15 @@ def cmd_eta(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .exprparse import evaluate_normal
+    from .tautring import render_expr
     nf = evaluate_normal(args.expr, args.level)
     _emit(args, [("normal_form", render_expr(nf))])
     return 0
 
 
 def cmd_integrate(args) -> int:
+    from .exprparse import evaluate_integral
     assignment = _load_assignment(args.chars)
     value = _finish(evaluate_integral(args.expr, args.level), assignment)
     _emit(args, [("integral", value.render())])
@@ -209,6 +202,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_chern(args) -> int:
+    from .tautring import chern_taut, render_expr
     pieces = chern_taut(args.level)
     _emit(args, [(f"c_{d}", render_expr(p)) for d, p in enumerate(pieces)])
     return 0
@@ -235,11 +229,13 @@ def _box(text: str) -> tuple[int, int]:
 
 
 def cmd_schubert(args) -> int:
+    from .schubert import grassmann_integral
     _emit(args, [("integral", grassmann_integral(args.box, args.factors))])
     return 0
 
 
 def cmd_nsec3(args) -> int:
+    from .schubert import _nsec3_sum, nsec3_terms
     assignment = _load_assignment(args.chars)
     terms = nsec3_terms()
     total = _finish(_nsec3_sum(terms), assignment)
@@ -264,6 +260,16 @@ def _battery():
     frozen but disagrees with the printed one (documented discrepancy),
     FAIL on any deviation from the frozen engine value.
     """
+    from .charpoly import CharacterPolynomial, symbol
+    from .exprparse import evaluate_integral, evaluate_normal
+    from .polyoracle import (check_chain, check_syzygy, derived_eta_exponent,
+                             eta_valuation, ord_table, printed_ord_formula)
+    from .schubert import (NSEC3_TUPLES, _nsec3_sum, grassmann_integral,
+                           nsec3_terms)
+    from .staircase import (alpha, beta, colength, j_m, monomial_poly,
+                            printed_alpha_closed_form)
+    from .tautring import integrate_word, render_expr
+
     sigma, omega2 = symbol("sigma"), symbol("omega2")
     omegaL, L2, dL = symbol("omegaL"), symbol("L2"), symbol("dL")
     checks = []
@@ -614,13 +620,15 @@ def main(argv=None) -> int:
         _check_ranges(args)
         # one command shares its work, e.g. the battery's integrals
         return shares_work(args.func)(args)
-    except (_UsageError, ParseError) as exc:
-        # first, because a ParseError is also a ValueError
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
+        # a ParseError is a ValueError, and exists only once its module
+        # is loaded, so a command that parses nothing never loads it
+        exprparse = sys.modules.get("tautcalc.exprparse")
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if exprparse and isinstance(exc, exprparse.ParseError) else 2
     except KeyError as exc:
         # the surface has no pairing or fibre degree for a key
         print(f"error: {exc.args[0]}", file=sys.stderr)

@@ -12,9 +12,12 @@ bundle from Grassmannian degrees and fibre-power integrals.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from . import shares_work
-from .charpoly import CharacterPolynomial
-from .exprparse import evaluate_integral
+
+if TYPE_CHECKING:
+    from .charpoly import CharacterPolynomial
 
 __all__ = [
     "pieri_mul",
@@ -87,6 +90,8 @@ NSEC3_TUPLES = tuple(
 
 def _w_integral(j1: int, j2: int, j3: int) -> CharacterPolynomial:
     """Integral over W^3 of (L1)^j1 (L2 - D2)^j2 (L3 - D3)^j3."""
+    # the engine loads only here, so the Pieri fold runs without it
+    from .exprparse import evaluate_integral
     return evaluate_integral(
         f"L(1)^{j1}*(L(2)-Delta<2>)^{j2}*(L(3)-Delta<3>)^{j3}", 3)
 
@@ -114,6 +119,7 @@ def nsec3() -> CharacterPolynomial:
 
 def _nsec3_sum(terms) -> CharacterPolynomial:
     """Assemble 3! N3 from an nsec3_terms breakdown."""
+    from .charpoly import CharacterPolynomial
     total = CharacterPolynomial.zero()
     for g, w in terms.values():
         total = total + g * w

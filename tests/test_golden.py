@@ -14,6 +14,7 @@ level-4 words in `Delta<4>`.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -69,6 +70,59 @@ def test_renders_match_the_golden_file():
     assert len(got) == len(want) == 1184
     for g, w in zip(got, want):
         assert g == w
+
+
+# -- the base-change weight ------------------------------------------------
+
+# Pulled back along a degree-d cover of the base, sigma, omega2, omegaL,
+# L2 and the classes f and pt scale by d, while dL, g2 and the side
+# degrees do not; so every monomial of an integral has total degree
+# 1 - (number of f and pt factors) in the scaling characters.
+SCALING = {"sigma", "omega2", "omegaL", "L2"}
+FIBRE_FACTOR = re.compile(r"\b(?:f|pt)\(\d+\)(?:\^(\d+))?")
+POWER = re.compile(r"([A-Za-z]\w*)(?:\^(\d+))?|\d+(?:/\d+)?")
+
+
+def fibre_factors(word: str) -> int:
+    """The number of f(i) and pt(i) factors in a word, with powers."""
+    return sum(int(k or 1) for k in FIBRE_FACTOR.findall(word))
+
+
+def monomial_weights(render: str) -> list[int]:
+    """The degree in the scaling characters of each monomial of a
+    rendered polynomial; "0" has none."""
+    if render == "0":
+        return []
+    weights = []
+    for term in re.split(r" [+-] ", render.removeprefix("-")):
+        weight = 0
+        for factor in term.split("*"):
+            match = POWER.fullmatch(factor)
+            assert match, (render, factor)
+            if match.group(1) in SCALING:
+                weight += int(match.group(2) or 1)
+        weights.append(weight)
+    return weights
+
+
+def test_monomial_weights_read_the_render():
+    assert monomial_weights("0") == []
+    assert monomial_weights("-2*sigma + 14*omega2") == [1, 1]
+    assert monomial_weights("3*L2*dL^2 - 3*L2*g2 + 60*L2") == [1, 1, 1]
+    assert monomial_weights("-g2 - 1/2*sigma^2*dL + 7") == [0, 2, 0]
+    assert fibre_factors("Delta<2>*f(1)^2*L(2)*pt(3)") == 3
+
+
+def test_integrals_have_the_base_change_weight():
+    checked = 0
+    for row in DATA.read_text(encoding="utf-8").splitlines():
+        _level, kind, word, render = row.split("\t")
+        if kind != "int" or render.startswith("!"):
+            continue
+        want = 1 - fibre_factors(word)
+        assert all(w == want for w in monomial_weights(render)), row
+        checked += 1
+    assert checked == 1087
 
 
 # -- the unchecked constructors ------------------------------------------

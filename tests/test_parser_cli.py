@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import comb
 from pathlib import Path
@@ -9,7 +13,7 @@ from time import perf_counter
 
 import pytest
 
-from tautcalc import cli
+from tautcalc import cli, polyoracle, schubert, staircase, tautring
 from tautcalc.charpoly import symbol
 from tautcalc.cli import main
 from tautcalc.exprparse import (
@@ -466,11 +470,16 @@ class TestCliExitCodes:
     ])
     def test_subcommand_levels_out_of_range_exit_at_once(self, argv, message,
                                                          monkeypatch):
-        # refused before any oracle runs
-        for name in ("check_chain", "check_syzygy", "ord_table",
-                     "eta_valuation", "chern_taut", "alpha", "beta", "j_m",
-                     "colength", "grassmann_integral"):
-            monkeypatch.setattr(cli, name, _never)
+        # refused before any oracle runs; each command imports its oracle
+        # when it runs, so the names are patched where they live
+        for module, names in ((polyoracle, ("check_chain", "check_syzygy",
+                                            "ord_table", "eta_valuation")),
+                              (tautring, ("chern_taut",)),
+                              (staircase, ("alpha", "beta", "j_m",
+                                           "colength")),
+                              (schubert, ("grassmann_integral",))):
+            for name in names:
+                monkeypatch.setattr(module, name, _never)
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
@@ -677,6 +686,52 @@ class TestOneSubcommandParser:
                             lambda names: built.append(names) or full(names))
         assert self.run(["alpha", "3"]) == (0, "5\n", "")
         assert built == [["alpha"]]
+
+
+class TestCommandImports:
+    """A fresh interpreter running one command loads only its modules."""
+
+    CODE = ("import contextlib, io, json, sys\n"
+            "from tautcalc.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, sorted(n for n in sys.modules"
+            " if n.partition('.')[0] == 'tautcalc')]))")
+
+    def loaded(self, argv):
+        src = str(Path(cli.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", self.CODE,
+                              json.dumps(argv)],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        code, modules = json.loads(out.stdout)
+        assert code == 0
+        return set(modules)
+
+    @pytest.mark.parametrize("argv", [
+        ["alpha", "3"], ["beta", "6"], ["colength", "5"]])
+    def test_staircase_commands(self, argv):
+        assert self.loaded(argv) == {"tautcalc", "tautcalc.cli",
+                                     "tautcalc.staircase"}
+
+    @pytest.mark.parametrize("argv", [
+        ["vdm-check", "-m", "3"], ["ord-table", "-m", "3"],
+        ["eta", "4", "2", "3"]])
+    def test_oracle_commands(self, argv):
+        assert self.loaded(argv) == {"tautcalc", "tautcalc.cli",
+                                     "tautcalc.polyoracle"}
+
+    def test_the_pieri_fold_loads_no_engine(self):
+        argv = ["schubert", "--box", "2,4", "--factors", "r2,r3,r3"]
+        assert not self.loaded(argv) & {"tautcalc.tautring",
+                                        "tautcalc.exprparse",
+                                        "tautcalc.charpoly"}
+
+    def test_the_engine_loads_no_oracle(self):
+        argv = ["integrate", "-m", "3", "Delta<3>^4"]
+        assert not self.loaded(argv) & {"tautcalc.staircase",
+                                        "tautcalc.polyoracle",
+                                        "tautcalc.schubert"}
 
 
 class TestVerifyBattery:
