@@ -12,6 +12,12 @@ as a Fraction.  Values do not depend on this: `terms` and
 `constant_value` return Fractions, and since hash(2) == hash(Fraction(2))
 equality, hashes and renders are those of all-Fraction arithmetic.
 Every division goes through Fraction(a, b), never int / int.
+
+The rewrite engine holds a number as a plain int or Fraction until a
+character enters it (`as_coefficient` gives that form), so a
+polynomial meets numbers far more often than polynomials: adding or
+multiplying by an int or Fraction shifts or scales the terms directly,
+without building a constant polynomial.
 """
 from __future__ import annotations
 
@@ -92,6 +98,17 @@ class CharacterPolynomial:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a number shifts the constant term
+            if not other:
+                return self
+            out = dict(self._terms)
+            c = _demote(out.get((), 0) + other)
+            if c:
+                out[()] = c
+            else:
+                del out[()]
+            return CharacterPolynomial._from_normal(out)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -127,6 +144,12 @@ class CharacterPolynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a number scales the coefficients and keeps the monomials
+            if not other:
+                return ZERO
+            return CharacterPolynomial._from_normal(
+                {m: _demote(c * other) for m, c in self._terms.items()})
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -248,6 +271,23 @@ def _demote(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def as_coefficient(value):
+    """value in the canonical form of a coefficient outside this ring.
+
+    A number is an int when integral and a Fraction otherwise; a
+    constant polynomial becomes that number; any other polynomial stays
+    as it is.  So a value has one form, and equal values hash equal.
+    """
+    if isinstance(value, CharacterPolynomial):
+        terms = value._terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and () in terms:
+            return terms[()]
+        return value
+    return _demote(_coefficient(value))
 
 
 def _coerce(value):

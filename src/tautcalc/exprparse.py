@@ -38,7 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 
-from .charpoly import CHARACTERS, ZERO, CharacterPolynomial
+from .charpoly import CHARACTERS, CharacterPolynomial
 from .tautring import (
     DiagMonomial,
     NodeClass,
@@ -186,6 +186,8 @@ class _Parser:
             if int(den[1]) == 0:
                 raise ParseError("division by zero", den[2], self.text)
             value = Fraction(value, int(den[1]))
+            if value.denominator == 1:
+                value = value.numerator
         return ("num", value)
 
     def atom(self):
@@ -323,14 +325,14 @@ def _seed(ast, m: int) -> TautExpr:
     """The expression of a `q[...]`, `F(...)` or `NS(...)` atom."""
     if ast[0] == "diag":
         blocks = tuple((tuple(slots), key) for slots, key in ast[1])
-        return TautExpr(m, {DiagMonomial(m, blocks): CharacterPolynomial.one()})
+        return TautExpr(m, {DiagMonomial(m, blocks): 1})
     _tag, I, split, jblocks, kblocks, gamma_power = ast
     if split is None:
         # short form: sum of complete unit fillings of the free slots
         nodes = _unit_fillings(m, I, gamma_power)
     else:
         nodes = [NodeClass(m, I, split, jblocks, kblocks, gamma_power)]
-    return TautExpr(m, {node: CharacterPolynomial.one() for node in nodes})
+    return TautExpr(m, {node: 1 for node in nodes})
 
 
 def to_words(ast, m: int):
@@ -398,18 +400,17 @@ def _words(ast, m: int):
     """to_words, each word kept as (sorted (factor, power) pairs, seeds,
     codimension) or as a `_Past` stand-in."""
     kind = ast[0]
-    one = CharacterPolynomial.one()
     if kind == "num":
-        return [(CharacterPolynomial.constant(ast[1]), ((), (), 0))]
+        return [(ast[1], ((), (), 0))]
     if kind == "char":
         return [(CharacterPolynomial.symbol(ast[1]), ((), (), 0))]
     if kind in ("gamma", "delta", "class"):
         factor = ("class", ast[2], ast[1]) if kind == "class" else ast
         # an atom never passes the dimension: a TautExpr drops such terms
-        return [(one, (((factor, 1),), (), _factor_codim(factor, m)))]
+        return [(1, (((factor, 1),), (), _factor_codim(factor, m)))]
     if kind in ("diag", "node"):
         seed = ("seed", _seed(ast, m))
-        return [(one, ((), (seed,), _seed_codim(seed)))]
+        return [(1, ((), (seed,), _seed_codim(seed)))]
     if kind == "neg":
         return [(-c, w) for c, w in _words(ast[1], m)]
     if kind == "add":
@@ -428,14 +429,14 @@ def _words(ast, m: int):
                 return [(c ** n, (tuple((f, k * n) for f, k in powers),
                                   seeds * n, codim * n))]
             past = _as_past(word)
-            return [(ZERO, _Past(past.codim * n, past.level_one,
+            return [(0, _Past(past.codim * n, past.level_one,
                                  (past.seeds * min(n, 2))[:2]))]
         # repeated squaring, about 2 log2(n) products as in
         # CharacterPolynomial.__pow__.  A product lists each like word
         # where its lexicographically first sequence of base words puts
         # it, however the n factors are grouped, so the words, their
         # order and the stand-ins kept are those of n single products
-        out, square = [(one, ((), (), 0))], base
+        out, square = [(1, ((), (), 0))], base
         while n:
             if n & 1:
                 out = _product(out, square, m)
@@ -469,7 +470,7 @@ def _product(left, right, m: int):
                     word = _as_past(word)
             if isinstance(word, _Past):
                 out.setdefault(("past", word.level_one, len(word.seeds)),
-                               (ZERO, word))
+                               (0, word))
                 continue
             key = (word[0], tuple(id(seed) for _, seed in word[1]))
             c = c1 * c2

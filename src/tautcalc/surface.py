@@ -21,7 +21,8 @@ class SurfaceGeometry:
 
     Holds the divisor pairing table, fibre degrees, the node count
     `sigma`, and the omega-degrees on the two sides of a generic node
-    (needed when a node class self-intersects).
+    (needed when a node class self-intersects).  A value that carries
+    no character, f.f and the fibre degree of f, is the int 0.
     """
 
     def __init__(self):
@@ -31,15 +32,15 @@ class SurfaceGeometry:
             ("omega", "omega"): symbol("omega2"),
             ("L", "omega"): symbol("omegaL"),
             ("L", "L"): symbol("L2"),
-            ("f", "f"): CharacterPolynomial.zero(),
+            ("f", "f"): 0,
             ("f", "omega"): g2,
             ("L", "f"): dL,
         }
-        self.fibre_degrees = {"omega": g2, "L": dL, "f": CharacterPolynomial.zero()}
+        self.fibre_degrees = {"omega": g2, "L": dL, "f": 0}
         self.node_count = symbol("sigma")
         self.side_degrees = {"J": symbol("g2J"), "K": symbol("g2K")}
 
-    def pair(self, a: str, b: str) -> CharacterPolynomial:
+    def pair(self, a: str, b: str) -> CharacterPolynomial | int:
         key = tuple(sorted((a, b)))
         if key not in self.pairing:
             raise KeyError(f"no pairing registered for divisors {a!r}, {b!r}")

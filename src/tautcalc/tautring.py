@@ -12,8 +12,12 @@ generators:
 * node classes: scrolls F^(I1|I2: J|K)[(c.)] supported over the nodes
   of degenerate fibres, and their sections NS = -Gamma.F.
 
-Coefficients live in the character ring (see charpoly); the weights,
-signs and binomials of the rewrites are plain ints.  Every rewrite is
+Coefficients are numbers until a character enters them: the weights,
+signs and binomials of the rewrites are plain ints (a Fraction only
+from the small diagonal or a typed fraction), and a CharacterPolynomial
+(see charpoly) appears only where the surface contributes a character:
+a pairing, a side degree, the node count or a fibre degree.  Integrals
+are always CharacterPolynomials.  Every rewrite is
 grading-checked: multiplying by Gamma adds one to the codimension,
 multiplying by a degree-d surface class adds d.
 
@@ -52,7 +56,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from . import shared_table, shares_work
-from .charpoly import CharacterPolynomial
+from .charpoly import CharacterPolynomial, as_coefficient
 from .surface import GEOMETRY
 
 __all__ = [
@@ -100,9 +104,9 @@ def _merge_keys(a: str, b: str):
     vanishes (degree above 2, or an unpaired divisor square).
     """
     if a == "1":
-        return CharacterPolynomial.one(), b
+        return 1, b
     if b == "1":
-        return CharacterPolynomial.one(), a
+        return 1, a
     if _key_degree(a) + _key_degree(b) > 2:
         return None
     if a == "pin" or b == "pin":
@@ -320,6 +324,9 @@ class TautExpr:
 
     All generators share one level and one codimension; generators of
     codimension above m+1 are silently dropped (they are zero on W^m).
+    A coefficient is held in the form of `charpoly.as_coefficient`: a
+    number (an int when integral) until a character enters it, then a
+    non-constant CharacterPolynomial.
     """
 
     __slots__ = ("m", "terms")
@@ -332,8 +339,6 @@ class TautExpr:
                 self.add(gen, coeff)
 
     def add(self, gen, coeff):
-        if not isinstance(coeff, CharacterPolynomial):
-            coeff = CharacterPolynomial.constant(coeff)
         if not coeff:
             return
         if gen.m != self.m:
@@ -343,10 +348,12 @@ class TautExpr:
         cur = self.terms.get(gen)
         if cur is not None:
             coeff = cur + coeff
-            if not coeff:
-                del self.terms[gen]
-                return
-        self.terms[gen] = coeff
+        if type(coeff) is not int:
+            coeff = as_coefficient(coeff)
+        if coeff:
+            self.terms[gen] = coeff
+        elif cur is not None:
+            del self.terms[gen]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -369,7 +376,7 @@ class TautExpr:
 
 
 def unit(m: int) -> TautExpr:
-    return TautExpr(m, {DiagMonomial(m): CharacterPolynomial.one()})
+    return TautExpr(m, {DiagMonomial(m): 1})
 
 
 # -- partition surgery -------------------------------------------------
@@ -382,15 +389,15 @@ def _merge_pair(mono: DiagMonomial, i: int, j: int) -> tuple:
     blocks = list(mono.blocks)
     if bi is None and bj is None:
         blocks.append(((i, j), "1"))
-        return CharacterPolynomial.one(), DiagMonomial._new(mono.m, blocks)
+        return 1, DiagMonomial._new(mono.m, blocks)
     if bi is not None and bj is None:
         slots, key = blocks[bi]
         blocks[bi] = (tuple(sorted(slots + (j,))), key)
-        return CharacterPolynomial.one(), DiagMonomial._new(mono.m, blocks)
+        return 1, DiagMonomial._new(mono.m, blocks)
     if bi is None:
         slots, key = blocks[bj]
         blocks[bj] = (tuple(sorted(slots + (i,))), key)
-        return CharacterPolynomial.one(), DiagMonomial._new(mono.m, blocks)
+        return 1, DiagMonomial._new(mono.m, blocks)
     if bi == bj:
         raise ValueError("pair already inside one block")
     si, ki = blocks[bi]
@@ -528,7 +535,7 @@ def mul_class(gen, slot: int, key: str) -> TautExpr:
                 raise ValueError(f"slot {slot} outside level {gen.m}")
             blocks = list(gen.blocks)
             blocks.append(((slot,), key))
-            out.add(DiagMonomial._new(gen.m, blocks), CharacterPolynomial.one())
+            out.add(DiagMonomial._new(gen.m, blocks), 1)
             return out
         merged = _merge_keys(gen.blocks[idx][1], key)
         if merged is not None:
@@ -549,7 +556,7 @@ def mul_class(gen, slot: int, key: str) -> TautExpr:
     if cur == "1":
         new_side = list(side)
         new_side[t] = (slots, key)
-        out.add(_edit(gen, side_name, new_side), CharacterPolynomial.one())
+        out.add(_edit(gen, side_name, new_side), 1)
     return out
 
 
@@ -680,9 +687,14 @@ def mul_gamma(expr: TautExpr) -> TautExpr:
             else:
                 piece = mul_gamma_node(gen)
             images[gen] = piece
-        for g2, c2 in piece.terms.items():
-            out.add(g2, coeff * c2)
+        _add_scaled(out, piece, coeff)
     return out
+
+
+def _add_scaled(out: TautExpr, piece: TautExpr, coeff) -> None:
+    """Add coeff times piece into out."""
+    for gen, c in piece.terms.items():
+        out.add(gen, coeff * c)
 
 
 # -- level maps ---------------------------------------------------------
@@ -744,8 +756,7 @@ def pushforward(expr: TautExpr) -> TautExpr:
         rest = DiagMonomial._new(m - 1, [b for t, b in enumerate(gen.blocks)
                                          if t != idx])
         if key == "pt":
-            for g2, c2 in mul_class(rest, 1, "f").terms.items():
-                out.add(g2, coeff * c2)
+            _add_scaled(out, mul_class(rest, 1, "f"), coeff)
             continue
         if key == "pin":
             raise UnsupportedProductError("pinned side points have no level map")
@@ -870,8 +881,7 @@ def _eval_up(levels, classes, seed, m: int) -> TautExpr:
             piece = images.get((gen, slot, key))
             if piece is None:
                 piece = images[gen, slot, key] = mul_class(gen, slot, key)
-            for g2, c2 in piece.terms.items():
-                nxt.add(g2, c * c2)
+            _add_scaled(nxt, piece, c)
         expr = nxt
     return expr
 
@@ -992,8 +1002,7 @@ def _normal_words(words, m: int) -> TautExpr:
     """Normal form at level m of a sum of (coefficient, factors) words."""
     out = TautExpr(m)
     for levels, classes, seed, coeff in _merge_words(words, m, False):
-        for gen, c in _eval_up(levels, classes, seed, m).terms.items():
-            out.add(gen, c * coeff)
+        _add_scaled(out, _eval_up(levels, classes, seed, m), coeff)
     return out
 
 
@@ -1001,7 +1010,7 @@ def _with_seed(factors, seed):
     factors = list(factors)
     if seed is not None:
         factors.append(("seed", seed))
-    return [(CharacterPolynomial.one(), factors)]
+    return [(1, factors)]
 
 
 def expand_monomial(factors, m: int,
@@ -1089,6 +1098,8 @@ def render_expr(expr: TautExpr) -> str:
     entries.sort(key=lambda e: e[0])
     parts = []
     for _key, label, coeff in entries:
+        if not isinstance(coeff, CharacterPolynomial):
+            coeff = CharacterPolynomial.constant(coeff)
         text = coeff.render()
         if label == "1":
             piece = f"({text})" if ("+" in text[1:] or "-" in text[1:]) else text

@@ -183,20 +183,38 @@ def test_operations_keep_the_normal_form(a, b, n, values):
 
 
 def test_golden_and_nsec3_coefficients_are_int_first():
-    polys = []
+    polys, coeffs = [], []
     for m, kind, text in cases():
         try:
             if kind == "int":
                 polys.append(evaluate_integral(text, m))
             else:
-                polys.extend(evaluate_normal(text, m).terms.values())
+                coeffs.extend(evaluate_normal(text, m).terms.values())
         except (ValueError, KeyError):
             continue  # refused inputs are pinned by test_golden
     for _g, w in nsec3_terms().values():
         polys.append(w)
     polys.append(nsec3())
-    assert len(polys) > 1000
+    assert len(polys) > 1000 and len(coeffs) > 100
+    # the golden normal forms are integral; a typed fraction is not
+    coeffs.extend(evaluate_normal("1/2*Delta<3>^2", 3).terms.values())
+    # a normal-form coefficient is a number until a character enters it:
+    # an int when integral, else a Fraction, else a non-constant
+    # polynomial; never a constant polynomial
+    kinds = set()
+    for c in coeffs:
+        kinds.add(type(c))
+        if type(c) is Fraction:
+            assert c.denominator != 1
+        else:
+            assert type(c) in (int, CharacterPolynomial) and c != 0
+        if type(c) is CharacterPolynomial:
+            assert not c.is_constant()
+            polys.append(c)
+    assert kinds == {int, Fraction, CharacterPolynomial}
+    # an integral is always a polynomial
     for p in polys:
+        assert type(p) is CharacterPolynomial
         assert_int_first(p)
         assert all(type(c) is Fraction for c in p.terms().values())
 
@@ -219,6 +237,11 @@ def test_int_and_integral_fraction_build_the_same_polynomial():
         (2 * s, Fraction(2) * s),
         (s + 2, s + Fraction(2)),
         (Fraction(1, 2) * s + Fraction(3, 2) * s, 2 * s),
+        # a number operand scales or shifts the terms, and demotes
+        (Fraction(1, 2) * s * 2, s),
+        (2 * (Fraction(1, 2) * s), s),
+        (s + Fraction(1, 2) + Fraction(1, 2), s + 1),
+        (Fraction(1, 2) + (s + Fraction(3, 2)), s + 2),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b) and a.render() == b.render()

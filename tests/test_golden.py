@@ -20,7 +20,11 @@ from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from tautcalc import tautring
+from tautcalc.charpoly import CharacterPolynomial
 from tautcalc.exprparse import evaluate_integral, evaluate_normal
 
 DATA = Path(__file__).parent / "data" / "golden_renders.txt"
@@ -123,6 +127,46 @@ def test_integrals_have_the_base_change_weight():
         assert all(w == want for w in monomial_weights(render)), row
         checked += 1
     assert checked == 1087
+
+
+# the refusal documented for level 4: a pure-diagonal word with
+# Delta<4>^k, k >= 2, spreads a point onto a node side
+PT_ON_A_SIDE = "side block key 'pt' has degree > 1"
+weights = (st.integers(-6, 6).filter(bool)
+           | st.fractions(-6, 6, max_denominator=6).filter(bool))
+
+
+@st.composite
+def weighted_words(draw):
+    """A level m = 2..4 and (weight, top-degree word) summands over
+    Delta<k>, L(i), omega(i) and f(i)."""
+    m = draw(st.integers(2, 4))
+    word = st.lists(st.sampled_from(_tokens(m)), min_size=m + 1,
+                    max_size=m + 1).map(_text)
+    return m, draw(st.lists(st.tuples(weights, word), min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(weighted_words())
+def test_drawn_integrals_have_the_base_change_weight(case):
+    m, summands = case
+    want = CharacterPolynomial.zero()
+    for c, word in summands:
+        try:
+            value = evaluate_integral(word, m)
+        except ValueError as exc:
+            assume(not (m == 4 and str(exc) == PT_ON_A_SIDE))
+            raise
+        weight = 1 - fibre_factors(word)
+        assert all(w == weight for w in monomial_weights(value.render())), word
+        want = want + c * value
+    # a weighted sum integrates to the weighted sum of the integrals, and
+    # each of its monomials has the weight of one of its words
+    got = evaluate_integral(
+        " + ".join(f"({c})*{word}" for c, word in summands), m)
+    assert got == want
+    allowed = {1 - fibre_factors(word) for _, word in summands}
+    assert set(monomial_weights(got.render())) <= allowed
 
 
 # -- the unchecked constructors ------------------------------------------

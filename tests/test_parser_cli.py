@@ -105,7 +105,7 @@ class TestLikeWords:
         # the 13 splits of codimension 12 > 4 leave one stand-in, whose
         # coefficient no check reads, so it carries 0
         [(c, word)] = to_words(parse("(Delta<2>+Delta<3>)^12", 3), 3)
-        assert (c.render(), word) == ("0", (("codim", 12),))
+        assert (c, type(c), word) == (0, int, (("codim", 12),))
         words = to_words(parse("(1+Delta<2>+Gamma<1>)^40", 3), 3)
         past = [w for c, w in words if w and w[0][0] == "codim"]
         assert past == [(("codim", 5),), (("codim", 4), ("gamma", 1))]
@@ -126,8 +126,10 @@ class TestLikeWords:
         kinds = [tuple(f[0] for f in word) for _, word in words]
         assert kinds == [("seed", "seed"), ("delta", "seed"),
                          ("delta", "delta")]
-        # two seeds make a stand-in, which carries 0
-        assert [c.render() for c, _ in words] == ["0", "2", "1"]
+        # two seeds make a stand-in, which carries 0; a coefficient
+        # with no character is a plain int
+        assert [(c, type(c)) for c, _ in words] == [(0, int), (2, int),
+                                                    (1, int)]
 
     def test_collected_integral_unchanged(self):
         code, out, err = run_cli(["integrate", "-m", "3",

@@ -664,6 +664,50 @@ class TestRuleHygiene:
         assert built == F(3, (1, 3), 1, j=(((2,), "1"),))
 
 
+class TestCanonicalCoefficients:
+    # a coefficient has one form: a number, an int when integral, until
+    # a character enters it; then a non-constant polynomial
+
+    def test_equal_numbers_make_one_expression(self):
+        g = q(2, ((1, 2), "1"))
+        forms = [TautExpr(2, {g: c})
+                 for c in (CP.constant(3), Fraction(6, 2), 3)]
+        for e in forms:
+            assert e.terms == {g: 3} and type(e.terms[g]) is int
+            assert e == forms[0] and hash(e) == hash(forms[0])
+            assert render_expr(e) == "3*q[{1,2}](1)"
+        half = TautExpr(2, {g: CP.constant(Fraction(1, 2))})
+        assert half.terms == {g: Fraction(1, 2)}
+        assert render_expr(half) == "1/2*q[{1,2}](1)"
+
+    def test_a_sum_that_loses_its_characters_is_a_number(self):
+        g = q(2, ((1, 2), "1"))
+        e = expr(2, [(g, sigma + 3), (g, -sigma)])
+        assert e.terms == {g: 3} and type(e.terms[g]) is int
+        assert e == TautExpr(2, {g: 3}) and hash(e) == hash(TautExpr(2, {g: 3}))
+
+    def test_zero_polynomial_coefficient_is_dropped(self):
+        g = q(2, ((1, 2), "1"))
+        assert TautExpr(2, {g: CP.zero()}).terms == {}
+        assert expr(2, [(g, sigma + 1), (g, -sigma - 1)]).terms == {}
+        assert expr(2, [(g, 2), (g, CP.constant(-2))]).terms == {}
+
+    def test_equal_seeds_hash_equal(self):
+        pairs = [
+            ("F(13:)", "F(1|3:{2}|) + F(1|3:|{2})"),
+            ("(sigma + 2)*Delta<3>^2 - sigma*Delta<3>^2", "2*Delta<3>^2"),
+            ("2*sigma*Delta<3>^2 - (sigma - 1)*Delta<3>^2",
+             "(sigma + 1)*Delta<3>^2"),
+            ("1/2*Delta<3>^2 + 1/2*Delta<3>^2", "Delta<3>^2"),
+        ]
+        for left, right in pairs:
+            a, b = evaluate_normal(left, 3), evaluate_normal(right, 3)
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+            assert render_expr(a) == render_expr(b)
+        assert all(type(c) is int
+                   for c in evaluate_normal(pairs[1][0], 3).terms.values())
+
+
 def test_importing_the_engine_loads_no_oracle_or_parser():
     # the package re-exports nothing, so the engine loads only its own
     # imports; a fresh interpreter shows what one import brings in
