@@ -11,14 +11,22 @@ intersection calculus is checked against.
 Monomials x^a y^b t^e with some min(a_i, b_i) > 0 are reduced by
 x_i y_i -> t.  Reduced monomials stay reduced under multiplication by
 t, so the minimal t-exponent of a normal form is the exact t-adic
-valuation.  A product adds the exponents and reduces x_i y_i -> t in
-one pass.
+valuation.
+
+A reduced monomial x^a y^b t^e has min(a_i, b_i) = 0 in every slot, so
+its vector (a - b, |b| + e) in Z^(m+1) determines it, and the reduction
+x_i y_i -> t keeps that vector: the normal form of a product of two
+monomials is the monomial of the sum of their vectors.  A product of
+two elements therefore packs each term's vector into one int, one
+signed field per slot below the field of |b| + e, adds the ints of
+every term pair in one dict and decodes only the terms that survive.
+The fields are wide enough for the sum of the operands' largest
+exponents, so no sum spills into its neighbour.  `check_syzygy`
+compares its two sides in this packed form, and `eta_valuation` reads
+G_1^2 in it.
 
 The t-adic orders of `arc_valuation` and `eta_valuation` are read off
-the terms, with no cancellation to look for.  A reduced monomial
-x^a y^b t^e has min(a_i, b_i) = 0 in every slot, so its vector
-(a - b, |b| + e) in Z^(m+1) determines it, and the reduction
-x_i y_i -> t keeps that vector.  So:
+the terms, with no cancellation to look for:
 
 - multiplying by a monomial adds a fixed vector and sends distinct
   reduced monomials to distinct ones: no two terms cancel;
@@ -31,17 +39,18 @@ x_i y_i -> t keeps that vector.  So:
 Either way the order is the least t-exponent over the terms.
 
 Inside a shared-work scope (`tautcalc.shares_work`, opened by every
-`taut-calc` command) each generator G_i, and G_1^2, is built once.  This
-module opens no scope itself: called directly, every function builds
-its generators afresh.
+`taut-calc` command) each generator G_i, and G_1^2, is built once.
+`ord_table` opens one for its own call when none is open, so it builds
+each G_j once; called directly, every other function builds its
+generators afresh.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import add
+from operator import mul
 
-from . import shared_table
+from . import shared_table, shares_work
 
 Coeff = int | Fraction
 
@@ -108,25 +117,9 @@ class QuotPoly:
                 m, {k: v * other for k, v in self.terms.items()}
             )
         assert m == other.m
-        n = 2 * m
-        out: dict[tuple, Coeff] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                # both factors are reduced, so only a slot where one brings
-                # x_i and the other y_i needs x_i y_i -> t
-                mono = list(map(add, m1, m2))
-                for i in range(m):
-                    a = mono[i]
-                    if a:
-                        b = mono[m + i]
-                        if b:
-                            k = a if a < b else b
-                            mono[i] = a - k
-                            mono[m + i] = b - k
-                            mono[n] += k
-                key = tuple(mono)
-                out[key] = out.get(key, 0) + c1 * c2
-        return QuotPoly._from_normal(m, {k: v for k, v in out.items() if v})
+        width = _width(_degree(self) + _degree(other))
+        product = _packed_product(_pack(self, width), _pack(other, width))
+        return QuotPoly._from_normal(m, _unpack(m, product, width))
 
     __rmul__ = __mul__
 
@@ -149,6 +142,69 @@ def _reduce_mono(m: int, mono) -> tuple:
             mono[m + i] -= k
             mono[2 * m] += k
     return tuple(mono)
+
+
+# -- packed vectors ----------------------------------------------------
+
+
+def _degree(p: QuotPoly) -> int:
+    """The largest exponent in p, which bounds every |a_i - b_i|."""
+    return max(map(max, p.terms), default=0)
+
+
+def _width(degree: int) -> int:
+    """Bits per field that hold every a_i - b_i of absolute value <= degree."""
+    return degree.bit_length() + 1
+
+
+def _pack(p: QuotPoly, width: int) -> dict[int, Coeff]:
+    """The terms of p keyed by their vectors (a - b, |b| + e), one int each.
+
+    Slot i is the signed field at bit width * i and |b| + e the field
+    above slot m - 1, so adding two keys adds the vectors field by field.
+    The key is linear in the exponents: x_i weighs 2^(width*i), t weighs
+    2^(width*m) and y_i the difference, so x_i y_i and t weigh the same.
+    """
+    m = p.m
+    top = 1 << (width * m)
+    xs = [1 << (width * i) for i in range(m)]
+    weights = xs + [top - x for x in xs] + [top]
+    return {sum(map(mul, mono, weights)): c for mono, c in p.terms.items()}
+
+
+def _packed_product(p: dict, q: dict) -> dict[int, Coeff]:
+    """Packed p * q."""
+    out: dict[int, Coeff] = {}
+    get = out.get
+    pairs = list(q.items())
+    for k1, c1 in p.items():
+        for k2, c2 in pairs:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _vector(key: int, m: int, width: int) -> list[int]:
+    """The vector [a_1 - b_1, ..., a_m - b_m, |b| + e] a packed key holds."""
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    vector = []
+    for _ in range(m):
+        d = ((key + half) & mask) - half
+        key = (key - d) >> width
+        vector.append(d)
+    vector.append(key)
+    return vector
+
+
+def _unpack(m: int, packed: dict, width: int) -> dict[tuple, Coeff]:
+    """The terms of a packed element, keyed by reduced monomials."""
+    terms = {}
+    for key, c in packed.items():
+        *d, s = _vector(key, m, width)
+        b = [-x if x < 0 else 0 for x in d]
+        terms[tuple([x if x > 0 else 0 for x in d] + b + [s - sum(b)])] = c
+    return terms
 
 
 # -- the generators G_i ------------------------------------------------
@@ -213,27 +269,14 @@ def elementary_symmetric(m: int, k: int, variable: str) -> QuotPoly:
     return QuotPoly(m, terms)
 
 
-def _t_power(m: int, e: int) -> QuotPoly:
-    mono = [0] * (2 * m + 1)
-    mono[2 * m] = e
-    return QuotPoly(m, {tuple(mono): 1})
-
-
-def _match_up_to_sign(lhs: QuotPoly, rhs: QuotPoly) -> int:
-    if lhs == rhs:
-        return 1
-    if lhs == -rhs:
-        return -1
-    raise AssertionError("sides differ beyond a global sign")
-
-
 def check_chain(m: int, i: int) -> int:
-    """Verify t^(m-i) * G_(i+1) = +- e_m(y) * G_i; returns the sign."""
+    """Verify t^(m-i) * G_(i+1) = +- e_m(y) * G_i; returns the sign.
+
+    This is the lower syzygy at j = 0.
+    """
     if not 1 <= i <= m - 1:
         raise ValueError(f"chain index {i} out of range for level {m}")
-    lhs = _t_power(m, m - i) * _generator(m, i + 1)
-    rhs = elementary_symmetric(m, m, "y") * _generator(m, i)
-    return _match_up_to_sign(lhs, rhs)
+    return check_syzygy(m, i, 0, "lower")
 
 
 def check_syzygy(m: int, i: int, j: int, kind: str = "lower") -> int:
@@ -248,28 +291,36 @@ def check_syzygy(m: int, i: int, j: int, kind: str = "lower") -> int:
     G_i -> G_(m-i+1); only the exponent i-j-1 is degree-consistent
     (t carries bidegree (1, 1)).
 
-    A negative t-exponent is checked as the equivalent divisibility
-    statement with the power moved to the other side.
+    Both sides are compared in packed form, never decoded.  There t^e
+    adds e to the top field of each key, so a negative exponent checks
+    the equivalent divisibility statement with t^(-e) on the left.
     """
     if kind == "lower":
         if not (1 <= i <= m - 1 and 0 <= j <= m - 1):
             raise ValueError(f"syzygy indices ({i}, {j}) out of range")
-        left = elementary_symmetric(m, m - j, "y") * _generator(m, i)
-        right = elementary_symmetric(m, j, "x") * _generator(m, i + 1)
+        left = (elementary_symmetric(m, m - j, "y"), _generator(m, i))
+        right = (elementary_symmetric(m, j, "x"), _generator(m, i + 1))
         e = m - j - i
     elif kind == "raise":
         if not (2 <= i <= m and 0 <= j <= m - 1):
             raise ValueError(f"syzygy indices ({i}, {j}) out of range")
-        left = elementary_symmetric(m, m - j, "x") * _generator(m, i)
-        right = elementary_symmetric(m, j, "y") * _generator(m, i - 1)
+        left = (elementary_symmetric(m, m - j, "x"), _generator(m, i))
+        right = (elementary_symmetric(m, j, "y"), _generator(m, i - 1))
         e = i - j - 1
     else:
         raise ValueError(f"unknown syzygy kind {kind!r}")
-    if e >= 0:
-        right = _t_power(m, e) * right
-    else:
-        left = _t_power(m, -e) * left
-    return _match_up_to_sign(left, right)
+    # e_k has no exponent above 1
+    width = _width(1 + max(_degree(left[1]), _degree(right[1])))
+    lhs, rhs = (_packed_product(_pack(s, width), _pack(g, width))
+                for s, g in (left, right))
+    # t^e adds e to the top field of every key
+    shift = e << (width * m)
+    rhs = {k + shift: c for k, c in rhs.items()}
+    if lhs == rhs:
+        return 1
+    if lhs == {k: -c for k, c in rhs.items()}:
+        return -1
+    raise AssertionError("sides differ beyond a global sign")
 
 
 # -- arc valuations ----------------------------------------------------
@@ -294,12 +345,14 @@ def arc_valuation(m: int, j: int, component) -> int:
                for mono in _generator(m, j).terms)
 
 
+@shares_work
 def ord_table(m: int, seed: int = 0) -> dict[tuple[int, int], int]:
     """Arc valuations of every G_j on every stratum size.
 
     The valuation only depends on |component|; this is verified on two
     distinct components per size where possible.  Keys are (j, size).
-    The order is exact, so `seed` is accepted and changes nothing.
+    The order is exact, so `seed` is accepted and changes nothing.  Each
+    G_j is built once per call, or once per scope when one is open.
     """
     table: dict[tuple[int, int], int] = {}
     for j in range(1, m + 1):
@@ -326,22 +379,27 @@ def printed_ord_formula(k: int, j: int) -> int:
 def eta_valuation(m: int, i: int, j: int) -> int:
     """t-adic valuation of e_m(y)^(i+j-2) * G_1^2.
 
-    e_m(y)^k is the single monomial (y_1...y_m)^k.  Times a reduced
-    monomial x^a y^b t^e it reduces to t-exponent e + sum_l min(a_l, k),
-    since b_l = 0 wherever a_l > 0.  Multiplying by a monomial cancels
-    no term (see the module docstring), so the valuation is the least of
-    these exponents over the terms of G_1^2.
+    e_m(y)^k is the single monomial (y_1...y_m)^k, of vector
+    (-k, ..., -k, mk).  Times a reduced monomial of vector (d, s) it
+    gives the reduced monomial of vector (d - k, s + mk), whose
+    t-exponent is s + sum_l min(d_l, k).  Multiplying by a monomial
+    cancels no term (see the module docstring), so the valuation is the
+    least of these exponents over the terms of G_1^2.  The square is
+    kept packed, and each key's vector is read with no monomial built.
     """
     if not (1 <= i <= m and 1 <= j <= m):
         raise ValueError(f"indices ({i}, {j}) out of range for level {m}")
     squares = shared_table("G_1^2")
-    g1_squared = squares.get(m)
-    if g1_squared is None:
+    square = squares.get(m)
+    if square is None:
         g1 = _generator(m, 1)
-        g1_squared = squares[m] = g1 * g1
+        width = _width(2 * _degree(g1))
+        packed = _pack(g1, width)
+        square = squares[m] = (width, _packed_product(packed, packed))
+    width, terms = square
     k = i + j - 2
-    return min(mono[2 * m] + sum(a if a < k else k for a in mono[:m])
-               for mono in g1_squared.terms)
+    return min(s + sum(d if d < k else k for d in vector)
+               for *vector, s in (_vector(key, m, width) for key in terms))
 
 
 def derived_eta_exponent(m: int, i: int, j: int) -> int:

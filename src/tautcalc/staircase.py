@@ -5,7 +5,12 @@ x^C(m-i+1,2) * y^C(i,2), i = 1..m, with C(n,2) the triangular numbers.
 The weight beta(m, j) is the colength of that ideal plus one generic
 binomial y^j + eta*x^(m-j); these weights drive the node-scroll terms
 of the intersection calculus.  Colengths are computed exactly by a
-bivariate Buchberger loop in degrevlex order with x > y.
+bivariate Buchberger loop in degrevlex order with x > y.  The leading
+terms of an S-pair cancel, so its S-polynomial is the two tails,
+shifted and scaled into one dict; a reduction step takes the leading
+term out of the working dict and adds the reducer's scaled tail in
+place.  The colength is the area under the staircase of the basis's
+leading monomials, summed in one pass over its corners.
 
 Coefficients are int first: integer input stays int, an integral eta
 goes in as an int, and every division goes through `_quotient`, which
@@ -78,22 +83,16 @@ def printed_alpha_closed_form(m: int) -> int:
 # -- exact bivariate Groebner -----------------------------------------
 
 
-def _deg(mono: Mono) -> int:
-    return mono[0] + mono[1]
-
-
-def _term_key(mono: Mono):
+def leading_monomial(p: Poly) -> Mono:
     # degrevlex with x > y: higher total degree wins, ties go to the
     # monomial with the smaller y exponent
-    return (_deg(mono), -mono[1])
-
-
-def leading_monomial(p: Poly) -> Mono:
-    return max(p, key=_term_key)
-
-
-def _divides(a: Mono, b: Mono) -> bool:
-    return a[0] <= b[0] and a[1] <= b[1]
+    best, top, low = None, -1, 0
+    for mono in p:
+        a, b = mono
+        d = a + b
+        if d > top or d == top and b < low:
+            best, top, low = mono, d, b
+    return best
 
 
 def _quotient(a: Coeff, b: Coeff) -> Coeff:
@@ -105,39 +104,38 @@ def _quotient(a: Coeff, b: Coeff) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
-def _shift_scale(p: Poly, shift: Mono, scale: Coeff) -> Poly:
-    return {(a + shift[0], b + shift[1]): c * scale for (a, b), c in p.items()}
-
-
-def _add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for mono, c in q.items():
-        s = out.get(mono, 0) + c
+def _add_tail(out: Poly, p: Poly, lp: Mono, shift: Mono, scale: Coeff) -> None:
+    """out += scale * x^da y^db * (p minus its leading term lp), in place."""
+    da, db = shift
+    get = out.get
+    for mono, c in p.items():
+        if mono == lp:
+            continue
+        key = (mono[0] + da, mono[1] + db)
+        s = get(key, 0) + c * scale
         if s:
-            out[mono] = s
+            out[key] = s
         else:
-            out.pop(mono, None)
-    return out
+            del out[key]
 
 
 def _reduce(p: Poly, basis: list[Poly], lms: list[Mono]) -> Poly:
-    # fully reduce p against the basis, whose leading monomials are lms
+    # fully reduce p against the basis, whose leading monomials are lms:
+    # the leading term leaves work, and a reducer's scaled tail comes in
     remainder: Poly = {}
     work = dict(p)
     while work:
         lm = leading_monomial(work)
-        lc = work[lm]
+        lc = work.pop(lm)
+        a, b = lm
         for g, glm in zip(basis, lms):
-            if _divides(glm, lm):
-                if len(g) == 1:
-                    del work[lm]  # a monomial multiple only cancels lm
-                else:
-                    shift = (lm[0] - glm[0], lm[1] - glm[1])
-                    work = _add(work, _shift_scale(g, shift, _quotient(-lc, g[glm])))
+            if glm[0] <= a and glm[1] <= b:
+                if len(g) > 1:  # a monomial multiple only cancels lm
+                    _add_tail(work, g, glm, (a - glm[0], b - glm[1]),
+                              _quotient(-lc, g[glm]))
                 break
         else:
             remainder[lm] = lc
-            del work[lm]
     return remainder
 
 
@@ -173,15 +171,14 @@ def buchberger(gens) -> list[Poly]:
     return basis
 
 
-def _lcm(a: Mono, b: Mono) -> Mono:
-    return (max(a[0], b[0]), max(a[1], b[1]))
-
-
 def _s_poly(p: Poly, lp: Mono, q: Poly, lq: Mono) -> Poly:
-    lcm = _lcm(lp, lq)
-    left = _shift_scale(p, (lcm[0] - lp[0], lcm[1] - lp[1]), _quotient(1, p[lp]))
-    right = _shift_scale(q, (lcm[0] - lq[0], lcm[1] - lq[1]), _quotient(1, q[lq]))
-    return _add(left, {m: -c for m, c in right.items()})
+    # the leading terms cancel, so only the two tails are shifted and
+    # scaled into one dict
+    a, b = max(lp[0], lq[0]), max(lp[1], lq[1])
+    out: Poly = {}
+    _add_tail(out, p, lp, (a - lp[0], b - lp[1]), _quotient(1, p[lp]))
+    _add_tail(out, q, lq, (a - lq[0], b - lq[1]), _quotient(-1, q[lq]))
+    return out
 
 
 def monomial_poly(mono: Mono, coeff=1) -> Poly:
@@ -194,11 +191,10 @@ def colength(gens) -> int:
     corners = minimalize(leading_monomial(g) for g in basis)
     if not any(b == 0 for _, b in corners) or not any(a == 0 for a, _ in corners):
         raise InfiniteColengthError(f"no pure-power leading terms in {corners}")
-    height = min(b for a, b in corners if a == 0)
-    total = 0
-    for b in range(height):
-        total += min(a for a, bb in corners if bb <= b)
-    return total
+    # sorted, the corners rise in x and fall in y from (0, height) to
+    # (width, 0); the rows from one corner's y down to the next one's
+    # are as long as the next corner's x
+    return sum(a * (prev - b) for (_, prev), (a, b) in zip(corners, corners[1:]))
 
 
 # -- the beta weights --------------------------------------------------
@@ -208,7 +204,7 @@ def _beta_single(m: int, j: int, eta: Fraction) -> int:
     gens = [monomial_poly(c) for c in j_m(m)]
     if eta.denominator == 1:
         eta = eta.numerator
-    binom = _add(monomial_poly((0, j)), monomial_poly((m - j, 0), eta))
+    binom = {(0, j): 1, (m - j, 0): eta}
     return colength(gens + [binom])
 
 

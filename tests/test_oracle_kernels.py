@@ -6,8 +6,8 @@ quotient product that reduces every term pair through its own pass, and
 the Buchberger loop with every coefficient a Fraction.  The tests
 compare both on random draws: arc constants that collide, so that a
 restriction vanishes or drops order, quotient elements with
-non-integral coefficients, and binomial slopes eta that are negative or
-not integers.
+non-integral coefficients and with exponents far past any workload,
+and binomial slopes eta that are negative or not integers.
 """
 
 from __future__ import annotations
@@ -244,6 +244,41 @@ def test_one_pass_product_matches_pairwise_reduction(args):
     assert c * p == p * c
 
 
+def _exponents():
+    # mostly small, so that terms collide and cancel, with some far past
+    # any level the workloads reach, and around powers of two, where a
+    # packed field of the wrong width would spill into its neighbour
+    return st.one_of(st.integers(0, 3), st.integers(0, 2 ** 70),
+                     st.integers(1, 70).map(lambda k: 2 ** k - 1),
+                     st.integers(1, 70).map(lambda k: 2 ** k))
+
+
+@st.composite
+def wide_quot_polys(draw, m):
+    monos = st.tuples(*[_exponents()] * (2 * m + 1))
+    return QuotPoly(m, draw(st.dictionaries(monos, coefficients, max_size=5)))
+
+
+def _slot_pair(m, x_power, y_power, coeff):
+    # x_1^x_power * y_m^y_power: the fields of slots 1 and m at their
+    # largest positive and negative values
+    mono = [0] * (2 * m + 1)
+    mono[0], mono[2 * m - 1] = x_power, y_power
+    return QuotPoly(m, {tuple(mono): coeff})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(
+    lambda m: st.tuples(wide_quot_polys(m), wide_quot_polys(m))))
+@example((_slot_pair(2, 3, 3, -1), _slot_pair(2, 4, 4, Fraction(1, 3))))
+@example((_slot_pair(1, 2 ** 40 - 1, 0, 5), _slot_pair(1, 0, 2 ** 40, -2)))
+@example((_slot_pair(3, 2 ** 31, 2 ** 31, Fraction(-7, 2)),
+          _slot_pair(3, 2 ** 31 - 1, 2 ** 31 - 1, 2)))
+def test_packed_product_matches_pairwise_reduction_at_any_exponent(args):
+    p, q = args
+    assert (p * q).terms == pairwise_product(p, q)
+
+
 def test_product_of_generators_matches_pairwise_reduction():
     for m in (2, 3, 4):
         e = polyoracle.elementary_symmetric(m, m, "y")
@@ -288,6 +323,23 @@ def test_integral_eta_stays_int():
     corners = [staircase.monomial_poly(c) for c in staircase.j_m(5)]
     basis = staircase.buchberger(corners + [{(0, 2): 1, (3, 0): -1}])
     assert all(type(c) is int for g in basis for c in g.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                       coefficients.filter(bool), min_size=1, max_size=12))
+def test_one_pass_leading_monomial_matches_the_sort_key(p):
+    assert staircase.leading_monomial(p) == leading_monomial(p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12),
+       st.integers(0, 60), st.integers(0, 60))
+def test_one_pass_colength_matches_row_by_row(corners, height, width):
+    # a pure power of each variable makes the colength finite
+    gens = [staircase.monomial_poly(c)
+            for c in corners + [(0, height), (width, 0)]]
+    assert staircase.colength(gens) == fraction_colength(gens)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -104,6 +104,14 @@ def test_direct_calls_share_nothing(computed):
     assert set(n for key, n in computed.items() if key[0] == "gamma") == {2}
 
 
+def test_ord_table_builds_each_generator_once_per_call(computed):
+    # one scope per call: m generators, and m fresh ones on the next call
+    for calls in (1, 2):
+        polyoracle.ord_table(4)
+        vdm = {key: n for key, n in computed.items() if key[0] == "vdm"}
+        assert vdm == {("vdm", 4, j): calls for j in range(1, 5)}
+
+
 def test_commands_share_nothing(computed):
     for _ in range(2):
         assert _run_cli(["vdm-check", "-m", "3"]) == 0
