@@ -21,9 +21,16 @@ two elements therefore packs each term's vector into one int, one
 signed field per slot below the field of |b| + e, adds the ints of
 every term pair in one dict and decodes only the terms that survive.
 The fields are wide enough for the sum of the operands' largest
-exponents, so no sum spills into its neighbour.  `check_syzygy`
-compares its two sides in this packed form, and `eta_valuation` reads
-G_1^2 in it.
+exponents, so no sum spills into its neighbour.
+
+Each generator is built by one walk over the permutations of the
+columns, which feeds one of two views of its terms: keyed by monomial
+tuples (`vdm_det`, `arc_valuation`), or keyed by packed vectors and
+built directly at the one field width `_width(2 * m)` per level, which
+holds every exponent of G_1^2 and of every e_k * G_i.  `check_syzygy`
+multiplies and compares its two sides in the packed view, with e_k
+packed as sums of slot weights, and `eta_valuation` squares G_1 in it;
+neither builds a monomial tuple.
 
 The t-adic orders of `arc_valuation` and `eta_valuation` are read off
 the terms, with no cancellation to look for:
@@ -39,16 +46,18 @@ the terms, with no cancellation to look for:
 Either way the order is the least t-exponent over the terms.
 
 Inside a shared-work scope (`tautcalc.shares_work`, opened by every
-`taut-calc` command) each generator G_i, and G_1^2, is built once.
-`ord_table` opens one for its own call when none is open, so it builds
-each G_j once; called directly, every other function builds its
-generators afresh.
+`taut-calc` command) each view of each generator G_i, and G_1^2, is
+built once for the checks and valuations.  `ord_table` opens one for
+its own call when none is open, so it builds each G_j once; called
+directly, every other function builds its generators afresh, and
+`vdm_det` always does, so its caller owns the terms it gets.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
+from functools import partial
+from itertools import combinations, permutations, repeat
+from operator import itemgetter, mul, sub
 
 from . import shared_table, shares_work
 
@@ -165,18 +174,23 @@ def _pack(p: QuotPoly, width: int) -> dict[int, Coeff]:
     The key is linear in the exponents: x_i weighs 2^(width*i), t weighs
     2^(width*m) and y_i the difference, so x_i y_i and t weigh the same.
     """
-    m = p.m
-    top = 1 << (width * m)
-    xs = [1 << (width * i) for i in range(m)]
-    weights = xs + [top - x for x in xs] + [top]
+    xs, ys = _slot_weights(p.m, width)
+    weights = xs + ys + [1 << (width * p.m)]
     return {sum(map(mul, mono, weights)): c for mono, c in p.terms.items()}
+
+
+def _slot_weights(m: int, width: int) -> tuple[list[int], list[int]]:
+    """The packed weights of x_1..x_m and of y_1..y_m (see `_pack`)."""
+    top = 1 << (width * m)
+    xs = [1 << (width * k) for k in range(m)]
+    return xs, [top - x for x in xs]
 
 
 def _packed_product(p: dict, q: dict) -> dict[int, Coeff]:
     """Packed p * q."""
     out: dict[int, Coeff] = {}
     get = out.get
-    pairs = list(q.items())
+    pairs = q.items()
     for k1, c1 in p.items():
         for k2, c2 in pairs:
             k = k1 + k2
@@ -210,6 +224,54 @@ def _unpack(m: int, packed: dict, width: int) -> dict[tuple, Coeff]:
 # -- the generators G_i ------------------------------------------------
 
 
+def _build(view: str, m: int, i: int) -> dict:
+    """One view of the terms of G_i: "terms" keys them by monomials,
+    "packed" by their packed keys at width `_width(2 * m)`.
+
+    Both views come from one walk over the permutations of the columns
+    in lexicographic order.  A permutation hands each column one row,
+    and the term is the product of those entries; `permutations(xs)`
+    lists, in the order of `permutations(range(m))`, the x-power each
+    column receives, and `permutations(ys)` the y-power in step.  The
+    rows run in leading order: x^(m-i) down to x^1, then y^(i-1) down
+    to y^1, then 1.  So the identity comes first, gives the
+    lexicographically leading monomial and, being even, the sign +1.
+    A permutation's sign is -1 to the sum of its Lehmer code, and in
+    this order the codes run through range(m) x range(m-1) x ... x
+    range(1) in order too.  So the first digit splits the walk into m
+    blocks, and the signs of each block are those of a walk over one
+    column less, flipped in every other block.
+    """
+    # the x- and y-power of each row; the last row, 1, has neither
+    xs = (*range(m - i, 0, -1),) + (0,) * i
+    ys = (0,) * (m - i) + (*range(i - 1, 0, -1), 0)
+    signs = [1]
+    for k in range(2, m + 1):
+        flipped = [-s for s in signs]
+        signs = (signs + flipped) * (k // 2) + (signs if k & 1 else [])
+    if view == "terms":
+        # each column holds one row, so no slot carries both x_k and y_k
+        return {x + y + (0,): s
+                for x, y, s in zip(permutations(xs), permutations(ys), signs)}
+    # a column's field holds x_k - y_k, and the top field the sum of all
+    # y-powers, which is the same for every term
+    width = _width(2 * m)
+    slots = _slot_weights(m, width)[0]
+    top = sum(ys) << (width * m)
+    keys = map(sum, map(partial(map, mul, slots), permutations(map(sub, xs, ys))),
+               repeat(top))
+    return dict(zip(keys, signs))
+
+
+def _view(view: str, m: int, i: int) -> dict:
+    """_build(view, m, i), built once per shared-work scope."""
+    table = shared_table("vdm")
+    terms = table.get((view, m, i))
+    if terms is None:
+        terms = table[view, m, i] = _build(view, m, i)
+    return terms
+
+
 def vdm_det(m: int, i: int) -> QuotPoly:
     """Mixed Vandermonde generator G_i as a normalized quotient element.
 
@@ -222,37 +284,7 @@ def vdm_det(m: int, i: int) -> QuotPoly:
     """
     if not 1 <= i <= m:
         raise ValueError(f"generator index {i} out of range for level {m}")
-    # (exponent offset, power) per row: x-powers sit at offset 0, y at m
-    rows = [(0, p) for p in range(m - i + 1)] + [(m, p) for p in range(1, i)]
-    det: dict[tuple, int] = {}
-    mono = [0] * (2 * m + 1)
-
-    def place(r: int, free: list, sign: int) -> None:
-        # row r takes a free column; the one at position pos passes over
-        # pos smaller free columns, which is pos inversions
-        if r == m:
-            det[tuple(mono)] = sign
-            return
-        offset, power = rows[r]
-        for pos, col in enumerate(free):
-            mono[offset + col] = power
-            place(r + 1, free[:pos] + free[pos + 1:], -sign if pos & 1 else sign)
-            mono[offset + col] = 0
-
-    place(0, list(range(m)), 1)
-    if det[max(det)] < 0:
-        det = {k: -v for k, v in det.items()}
-    # one row per column, so no slot carries both x_k and y_k: reduced
-    return QuotPoly._from_normal(m, det)
-
-
-def _generator(m: int, i: int) -> QuotPoly:
-    """vdm_det(m, i), built once per shared-work scope."""
-    table = shared_table("vdm")
-    g = table.get((m, i))
-    if g is None:
-        g = table[(m, i)] = vdm_det(m, i)
-    return g
+    return QuotPoly._from_normal(m, _build("terms", m, i))
 
 
 def elementary_symmetric(m: int, k: int, variable: str) -> QuotPoly:
@@ -295,24 +327,21 @@ def check_syzygy(m: int, i: int, j: int, kind: str = "lower") -> int:
     adds e to the top field of each key, so a negative exponent checks
     the equivalent divisibility statement with t^(-e) on the left.
     """
+    # a field of _width(2 * m) holds every exponent of e_k * G_i
+    width = _width(2 * m)
+    xs, ys = _slot_weights(m, width)
     if kind == "lower":
         if not (1 <= i <= m - 1 and 0 <= j <= m - 1):
             raise ValueError(f"syzygy indices ({i}, {j}) out of range")
-        left = (elementary_symmetric(m, m - j, "y"), _generator(m, i))
-        right = (elementary_symmetric(m, j, "x"), _generator(m, i + 1))
-        e = m - j - i
+        left, right, other, e = ys, xs, i + 1, m - j - i
     elif kind == "raise":
         if not (2 <= i <= m and 0 <= j <= m - 1):
             raise ValueError(f"syzygy indices ({i}, {j}) out of range")
-        left = (elementary_symmetric(m, m - j, "x"), _generator(m, i))
-        right = (elementary_symmetric(m, j, "y"), _generator(m, i - 1))
-        e = i - j - 1
+        left, right, other, e = xs, ys, i - 1, i - j - 1
     else:
         raise ValueError(f"unknown syzygy kind {kind!r}")
-    # e_k has no exponent above 1
-    width = _width(1 + max(_degree(left[1]), _degree(right[1])))
-    lhs, rhs = (_packed_product(_pack(s, width), _pack(g, width))
-                for s, g in (left, right))
+    lhs = _packed_product(_packed_symmetric(left, m - j), _view("packed", m, i))
+    rhs = _packed_product(_packed_symmetric(right, j), _view("packed", m, other))
     # t^e adds e to the top field of every key
     shift = e << (width * m)
     rhs = {k + shift: c for k, c in rhs.items()}
@@ -321,6 +350,11 @@ def check_syzygy(m: int, i: int, j: int, kind: str = "lower") -> int:
     if lhs == {k: -c for k, c in rhs.items()}:
         return -1
     raise AssertionError("sides differ beyond a global sign")
+
+
+def _packed_symmetric(weights: list[int], k: int) -> dict[int, int]:
+    """Packed e_k in the variables of the given slot weights."""
+    return dict.fromkeys(map(sum, combinations(weights, k)), 1)
 
 
 # -- arc valuations ----------------------------------------------------
@@ -341,8 +375,7 @@ def arc_valuation(m: int, j: int, component) -> int:
         raise ValueError(f"component {sorted(I)} not within [1, {m}]")
     # the exponent offset in a monomial of each slot's t-carrying variable
     offsets = [m + i - 1 if i in I else i - 1 for i in range(1, m + 1)]
-    return min(mono[2 * m] + sum(mono[k] for k in offsets)
-               for mono in _generator(m, j).terms)
+    return min(map(sum, map(itemgetter(2 * m, *offsets), _view("terms", m, j))))
 
 
 @shares_work
@@ -392,10 +425,8 @@ def eta_valuation(m: int, i: int, j: int) -> int:
     squares = shared_table("G_1^2")
     square = squares.get(m)
     if square is None:
-        g1 = _generator(m, 1)
-        width = _width(2 * _degree(g1))
-        packed = _pack(g1, width)
-        square = squares[m] = (width, _packed_product(packed, packed))
+        packed = _view("packed", m, 1)
+        square = squares[m] = (_width(2 * m), _packed_product(packed, packed))
     width, terms = square
     k = i + j - 2
     return min(s + sum(d if d < k else k for d in vector)

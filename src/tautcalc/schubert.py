@@ -30,22 +30,29 @@ __all__ = [
 
 def _strips(lam, b, j, kind):
     """The rows mu in the len(lam) x b box that add a strip of j boxes
-    to lam.  A row strip adds at most lam[i-1] - lam[i] boxes to row i;
-    a column strip adds at most one box to each row and keeps the rows
-    weakly decreasing.  Row 0 never passes b."""
+    to lam, as a list.  A row strip adds at most lam[i-1] - lam[i] boxes
+    to row i; a column strip adds at most one box to each row and keeps
+    the rows weakly decreasing.  Row 0 never passes b."""
     a = len(lam)
+    row = kind == "row"
+    out = []
 
-    def rec(i, remaining, mu):
+    def extend(i, left, mu):
         if i == a:
-            if not remaining:
-                yield mu
+            if not left:
+                out.append(mu)
             return
-        top = b if i == 0 else lam[i - 1] if kind == "row" else mu[i - 1]
-        step = remaining if kind == "row" else min(remaining, 1)
-        for r in range(lam[i], min(top, lam[i] + step) + 1):
-            yield from rec(i + 1, remaining - (r - lam[i]), mu + (r,))
+        low = lam[i]
+        top = b if i == 0 else lam[i - 1] if row else mu[i - 1]
+        # the rows below take at most lam[i] - lam[-1] more boxes of a
+        # row strip, and one each of a column strip
+        room = low - lam[-1] if row else a - 1 - i
+        first = low + left - room if left > room else low
+        for r in range(first, min(top, low + (left if row else min(left, 1))) + 1):
+            extend(i + 1, left - (r - low), mu + (r,))
 
-    return rec(0, j, ())
+    extend(0, j, ())
+    return out
 
 
 def pieri_mul(terms: dict, box, special) -> dict:

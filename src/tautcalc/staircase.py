@@ -5,12 +5,17 @@ x^C(m-i+1,2) * y^C(i,2), i = 1..m, with C(n,2) the triangular numbers.
 The weight beta(m, j) is the colength of that ideal plus one generic
 binomial y^j + eta*x^(m-j); these weights drive the node-scroll terms
 of the intersection calculus.  Colengths are computed exactly by a
-bivariate Buchberger loop in degrevlex order with x > y.  The leading
-terms of an S-pair cancel, so its S-polynomial is the two tails,
-shifted and scaled into one dict; a reduction step takes the leading
-term out of the working dict and adds the reducer's scaled tail in
-place.  The colength is the area under the staircase of the basis's
-leading monomials, summed in one pass over its corners.
+bivariate Buchberger loop in degrevlex order with x > y.  The pair
+queue leaves out the pairs whose S-polynomial is known to reduce to 0:
+two monomials, which it never forms because a new monomial is paired
+only with the elements that have a tail, and two coprime leading
+terms.  Pairs leave the queue by the degree of their lcm, and in the
+order they were queued among equal degrees.  The leading terms of an
+S-pair cancel, so its S-polynomial is the two tails, shifted and scaled
+into one dict, and a monomial adds no tail; a reduction step takes the
+leading term out of the working dict and adds the reducer's scaled
+tail in place.  The colength is the area under the staircase of the
+basis's leading monomials, summed in one pass over its corners.
 
 Coefficients are int first: integer input stays int, an integral eta
 goes in as an int, and every division goes through `_quotient`, which
@@ -112,11 +117,15 @@ def _add_tail(out: Poly, p: Poly, lp: Mono, shift: Mono, scale: Coeff) -> None:
         if mono == lp:
             continue
         key = (mono[0] + da, mono[1] + db)
-        s = get(key, 0) + c * scale
-        if s:
-            out[key] = s
+        s = get(key)
+        if s is None:
+            out[key] = c * scale
         else:
-            del out[key]
+            s += c * scale
+            if s:
+                out[key] = s
+            else:
+                del out[key]
 
 
 def _reduce(p: Poly, basis: list[Poly], lms: list[Mono]) -> Poly:
@@ -146,18 +155,21 @@ def buchberger(gens) -> list[Poly]:
     # in the order they were queued among equal degrees
     pairs: list[tuple[int, int, int, int]] = []
     order = count()
+    tailed: list[int] = []  # the elements with more than one term
 
     def queue_pairs(i: int) -> None:
         a, b = lms[i]
+        # two monomials have the S-polynomial 0, so a monomial pairs
+        # only with the elements that have a tail
         single = len(basis[i]) == 1
-        for j in range(i):
+        for j in tailed if single else range(i):
             c, d = lms[j]
-            if single and len(basis[j]) == 1:
-                continue  # two monomials: the S-polynomial is 0
             if (a == 0 or c == 0) and (b == 0 or d == 0):
                 continue  # coprime leading terms: it reduces to 0
             lcm_deg = (a if a > c else c) + (b if b > d else d)
             heapq.heappush(pairs, (lcm_deg, next(order), i, j))
+        if not single:
+            tailed.append(i)
 
     for i in range(len(basis)):
         queue_pairs(i)
@@ -173,11 +185,13 @@ def buchberger(gens) -> list[Poly]:
 
 def _s_poly(p: Poly, lp: Mono, q: Poly, lq: Mono) -> Poly:
     # the leading terms cancel, so only the two tails are shifted and
-    # scaled into one dict
+    # scaled into one dict; a monomial has no tail
     a, b = max(lp[0], lq[0]), max(lp[1], lq[1])
     out: Poly = {}
-    _add_tail(out, p, lp, (a - lp[0], b - lp[1]), _quotient(1, p[lp]))
-    _add_tail(out, q, lq, (a - lq[0], b - lq[1]), _quotient(-1, q[lq]))
+    if len(p) > 1:
+        _add_tail(out, p, lp, (a - lp[0], b - lp[1]), _quotient(1, p[lp]))
+    if len(q) > 1:
+        _add_tail(out, q, lq, (a - lq[0], b - lq[1]), _quotient(-1, q[lq]))
     return out
 
 

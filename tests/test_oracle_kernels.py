@@ -2,19 +2,21 @@
 
 The first part of this module keeps the reference kernels: arc
 restrictions summed in Fraction arithmetic at given constants, the
-quotient product that reduces every term pair through its own pass, and
-the Buchberger loop with every coefficient a Fraction.  The tests
+quotient product that reduces every term pair through its own pass, the
+Buchberger loop with every coefficient a Fraction, and the Leibniz
+expansion that places one row at a time by recursion.  The tests
 compare both on random draws: arc constants that collide, so that a
 restriction vanishes or drops order, quotient elements with
 non-integral coefficients and with exponents far past any workload,
-and binomial slopes eta that are negative or not integers.
+and binomial slopes eta that are negative or not integers; and they
+compare the generators and every check read off them up to level 7.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import count
+from itertools import chain, combinations, count
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,29 @@ def fraction_buchberger(gens):
     return basis
 
 
+def recursive_vdm(m, i):
+    """The terms of G_i, one row placed at a time over the free columns."""
+    rows = [(0, p) for p in range(m - i + 1)] + [(m, p) for p in range(1, i)]
+    det = {}
+    mono = [0] * (2 * m + 1)
+
+    def place(r, free, sign):
+        # the column at position pos passes over pos smaller free ones
+        if r == m:
+            det[tuple(mono)] = sign
+            return
+        offset, power = rows[r]
+        for pos, col in enumerate(free):
+            mono[offset + col] = power
+            place(r + 1, free[:pos] + free[pos + 1:], -sign if pos & 1 else sign)
+            mono[offset + col] = 0
+
+    place(0, list(range(m)), 1)
+    if det[max(det)] < 0:
+        det = {k: -v for k, v in det.items()}
+    return det
+
+
 def quadratic_minimalize(corners):
     corners = set(corners)
     keep = []
@@ -286,6 +311,88 @@ def test_product_of_generators_matches_pairwise_reduction():
             g = vdm_det(m, i)
             assert (e * g).terms == pairwise_product(e, g)
             assert (g * g).terms == pairwise_product(g, g)
+
+
+# -- the generators and the checks read off them ---------------------------
+
+
+def _reference(m, i):
+    return QuotPoly(m, recursive_vdm(m, i))
+
+
+def test_one_walk_gives_the_recursive_terms():
+    for m in range(1, 8):
+        for i in range(1, m + 1):
+            assert vdm_det(m, i).terms == recursive_vdm(m, i)
+
+
+def test_packed_view_is_the_packed_recursive_terms():
+    for m in range(1, 7):
+        width = polyoracle._width(2 * m)
+        for i in range(1, m + 1):
+            assert (polyoracle._build("packed", m, i)
+                    == polyoracle._pack(_reference(m, i), width))
+
+
+def _t_power(m, e):
+    return QuotPoly(m, {(0,) * (2 * m) + (e,): 1})
+
+
+def _product_sign(m, left, right, e):
+    # left = +-t^e * right, with t^(-e) moved to the left when e < 0
+    if e < 0:
+        left, e = left * _t_power(m, -e), 0
+    right = right * _t_power(m, e)
+    if left == right:
+        return 1
+    assert left == -right
+    return -1
+
+
+def test_packed_check_signs_match_quotient_products():
+    sym = polyoracle.elementary_symmetric
+    for m in range(2, 6):
+        g = {i: _reference(m, i) for i in range(1, m + 1)}
+        for i in range(1, m):
+            want = _product_sign(m, sym(m, m, "y") * g[i], g[i + 1], m - i)
+            assert polyoracle.check_chain(m, i) == want
+            for j in range(m):
+                want = _product_sign(m, sym(m, m - j, "y") * g[i],
+                                     sym(m, j, "x") * g[i + 1], m - j - i)
+                assert polyoracle.check_syzygy(m, i, j, "lower") == want
+        for i in range(2, m + 1):
+            for j in range(m):
+                want = _product_sign(m, sym(m, m - j, "x") * g[i],
+                                     sym(m, j, "y") * g[i - 1], i - j - 1)
+                assert polyoracle.check_syzygy(m, i, j, "raise") == want
+
+
+def _least_t(terms, m):
+    return min(mono[2 * m] for mono in terms)
+
+
+def test_valuations_match_the_recursive_terms():
+    for m in range(1, 6):
+        slots = range(1, m + 1)
+        # the valuation of e_m(y)^k * G_1^2 for k = i + j - 2
+        e_y = polyoracle.elementary_symmetric(m, m, "y")
+        value = _reference(m, 1) * _reference(m, 1)
+        want = []
+        for _ in range(2 * m - 1):
+            want.append(_least_t(value.terms, m))
+            value = e_y * value
+        for i in slots:
+            for j in slots:
+                assert polyoracle.eta_valuation(m, i, j) == want[i + j - 2]
+        for j in slots:
+            terms = recursive_vdm(m, j)
+            for component in chain.from_iterable(
+                    combinations(slots, k) for k in range(m + 1)):
+                # the t-carrying variable of each slot
+                carriers = [m + s - 1 if s in component else s - 1 for s in slots]
+                want = min(mono[2 * m] + sum(mono[k] for k in carriers)
+                           for mono in terms)
+                assert polyoracle.arc_valuation(m, j, component) == want
 
 
 # -- Buchberger -------------------------------------------------------------

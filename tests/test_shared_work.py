@@ -28,7 +28,7 @@ def _run_cli(argv):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Count the Gamma images and generators actually computed."""
+    """Count the Gamma images and generator views actually computed."""
     counts = Counter()
 
     def counting(module, name, key):
@@ -41,7 +41,7 @@ def computed(monkeypatch):
 
     for name in ("mul_gamma_diag", "mul_gamma_node"):
         counting(tautring, name, lambda gen: ("gamma", gen))
-    counting(polyoracle, "vdm_det", lambda m, i: ("vdm", m, i))
+    counting(polyoracle, "_build", lambda view, m, i: ("vdm", view, m, i))
     counting(staircase, "_beta_single",
              lambda m, j, eta: ("beta", m, j, eta))
     return counts
@@ -91,13 +91,13 @@ def test_direct_calls_share_nothing(computed):
     # no scope open: each call computes afresh
     first, second = polyoracle.vdm_det(3, 2), polyoracle.vdm_det(3, 2)
     assert first == second and first is not second
-    assert computed[("vdm", 3, 2)] == 2
+    assert computed[("vdm", "terms", 3, 2)] == 2
     for _ in range(2):
         polyoracle.check_chain(3, 2)
         polyoracle.eta_valuation(3, 1, 2)
-    assert computed[("vdm", 3, 2)] == 4
-    assert computed[("vdm", 3, 3)] == 2
-    assert computed[("vdm", 3, 1)] == 2
+    assert computed[("vdm", "packed", 3, 2)] == 2
+    assert computed[("vdm", "packed", 3, 3)] == 2
+    assert computed[("vdm", "packed", 3, 1)] == 2
     expr = tautring.unit(2)
     tautring.mul_gamma(expr)
     tautring.mul_gamma(expr)
@@ -109,7 +109,7 @@ def test_ord_table_builds_each_generator_once_per_call(computed):
     for calls in (1, 2):
         polyoracle.ord_table(4)
         vdm = {key: n for key, n in computed.items() if key[0] == "vdm"}
-        assert vdm == {("vdm", 4, j): calls for j in range(1, 5)}
+        assert vdm == {("vdm", "terms", 4, j): calls for j in range(1, 5)}
 
 
 def test_commands_share_nothing(computed):
