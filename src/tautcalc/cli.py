@@ -3,9 +3,9 @@
 Subcommands cover the staircase weights (alpha, beta, colength), the
 Vandermonde oracle (vdm-check, ord-table, eta), the rewriting engine
 (normalize, integrate, chern), the Grassmannian side (schubert, nsec3)
-and a regression driver (verify-paper) that replays every recorded
-reference value and reports engine-vs-printed discrepancies as NOTE
-lines.
+and a regression driver (verify-paper) that replays the table of
+recorded reference checks in `paperchecks` and reports
+engine-vs-printed discrepancies as NOTE lines.
 
 Each command imports the modules it runs inside its own function, so a
 fresh interpreter compiles and loads no engine for a staircase command
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from math import comb
 from operator import attrgetter
 
 from . import shares_work
@@ -252,219 +251,10 @@ def cmd_nsec3(args) -> int:
 # -- the regression driver -------------------------------------------------
 
 
-def _battery():
-    """Replay of every recorded reference computation.
-
-    Each entry is (check id, status, detail): PASS when the engine
-    agrees with the printed value, NOTE when the engine result is
-    frozen but disagrees with the printed one (documented discrepancy),
-    FAIL on any deviation from the frozen engine value.
-    """
-    from .charpoly import CharacterPolynomial, symbol
-    from .exprparse import evaluate_integral, evaluate_normal
-    from .polyoracle import (check_chain, check_syzygy, derived_eta_exponent,
-                             eta_valuation, ord_table, printed_ord_formula)
-    from .schubert import (NSEC3_TUPLES, _nsec3_sum, grassmann_integral,
-                           nsec3_terms)
-    from .staircase import (alpha, beta, colength, j_m, monomial_poly,
-                            printed_alpha_closed_form)
-    from .tautring import integrate_word, render_expr
-
-    sigma, omega2 = symbol("sigma"), symbol("omega2")
-    omegaL, L2, dL = symbol("omegaL"), symbol("L2"), symbol("dL")
-    checks = []
-
-    def record(cid, ok, detail):
-        checks.append((cid, "PASS" if ok else "FAIL", detail))
-
-    def note(cid, ok, detail):
-        checks.append((cid, "NOTE" if ok else "FAIL", detail))
-
-    # section-zero tables
-    printed_rows = {2: (1,), 3: (3, 3), 4: (6, 8, 6), 5: (10, 15, 15, 10),
-                    6: (15, 24, 27, 24, 15)}
-    ok = all(beta(m) == printed_rows[m] for m in printed_rows)
-    record("beta-rows", ok, "rows m=2..6 match the printed tables")
-    ok = all(beta(m, 1) == comb(m, 2)
-             and beta(m) == beta(m)[::-1] for m in range(2, 9))
-    record("beta-symmetry", ok, "first entry C(m,2), palindromic rows, m<=8")
-    etas = (Fraction(1), Fraction(2), Fraction(-3, 5))
-    ok = all(beta(m, etas=etas) == beta(m) for m in range(2, 7))
-    record("beta-eta-independence", ok, "rows agree at eta = 1, 2, -3/5")
-    ok = all(alpha(m) == colength([monomial_poly(c) for c in j_m(m)])
-             == comb(m + 2, 4) for m in range(2, 9))
-    record("alpha-colength", ok, "alpha = colength = C(m+2,4) for m=2..8")
-    diverging = [m for m in range(2, 9)
-                 if printed_alpha_closed_form(m) != alpha(m)]
-    note("alpha-closed-form", diverging == [4, 5, 6, 7, 8],
-         "printed closed form diverges from the table for every m >= 4")
-
-    # Vandermonde identities
-    ok = all(check_chain(m, i) in (-1, 1)
-             for m in range(2, 6) for i in range(1, m))
-    record("vdm-chain", ok, "t^(m-i) G_(i+1) = +-e_m(y) G_i for m<=5")
-    ok = all(check_syzygy(m, i, j, "lower") in (-1, 1)
-             for m in range(2, 5)
-             for i in range(1, m) for j in range(0, m))
-    record("vdm-syzygy-lower", ok, "lower family holds up to sign for m<=4")
-    ok = all(check_syzygy(m, i, j, "raise") in (-1, 1)
-             for m in range(2, 5)
-             for i in range(2, m + 1) for j in range(0, m))
-    note("vdm-syzygy-raise", ok,
-         "raise family holds with t-exponent i-j-1; the printed exponent"
-         " m-j-i is not degree-consistent")
-
-    # valuation table
-    ok = True
-    zero_ok = True
-    for m in (2, 3, 4):
-        table = ord_table(m)
-        ok = ok and all(v >= 0 for v in table.values())
-        for j in range(1, m + 1):
-            zeros = {size for size in range(m + 1) if table[(j, size)] == 0}
-            want = {s for s in (m - j, m - j + 1) if 0 <= s <= m}
-            zero_ok = zero_ok and zeros == want
-    record("ord-nonnegative", ok, "arc valuations have no poles for m<=4")
-    record("ord-zero-set", zero_ok,
-           "order vanishes exactly on two adjacent component sizes")
-    note("ord-quadratic", all(
-        printed_ord_formula(k, 1) == 2 * ((k - 1) * k // 2)
-        for k in range(1, 5)),
-        "printed quadratic is twice the computed order")
-
-    # eta exponents; both checks read one table of valuations
-    etas = {(m, i, j): eta_valuation(m, i, j) for m in (2, 3, 4)
-            for i in range(1, m + 1) for j in range(1, m + 1)}
-    ok = all(value == derived_eta_exponent(m, i, j)
-             for (m, i, j), value in etas.items() if abs(i - j) <= 1)
-    record("eta-exponent-near", ok,
-           "quadratic exponent exact whenever |i-j| <= 1, m<=4")
-    extremes = [(m, i, j) for (m, i, j), value in etas.items()
-                if value != derived_eta_exponent(m, i, j)]
-    note("eta-exponent-far", all(abs(i - j) >= 2 for _, i, j in extremes)
-         and len(extremes) == 8,
-         "eight pairs with |i-j| >= 2 exceed the quadratic; printed"
-         " exponent misses the correction")
-
-    # the intersection battery
-    record("nf-pair-diagonal-cube",
-           render_expr(evaluate_normal("Gamma<2>^3", 2))
-           == "omega2*q[{1,2}](pt) - NS(12:)",
-           "third power of the level-2 diagonal")
-    note("nf-pair-diagonal-square",
-         render_expr(evaluate_normal("Delta<2>^2", 2))
-         == "-q[{1,2}](omega) + F(12:)",
-         "engine carries -omega on the diagonal term; the printed form"
-         " shows +omega, inconsistent with its own later normal forms")
-    record("nf-top-diagonal-square",
-           render_expr(evaluate_normal("Delta<3>^2", 3))
-           == "2*q[{1,2,3}](1) - q[{1,3}](omega) - q[{2,3}](omega)"
-              " + F(13:) + F(23:)",
-           "printed normal form reproduced verbatim")
-    note("int-lclass-delta2-squared",
-         all(evaluate_integral(f"L({i})*Delta<2>^2", 2) == -omegaL
-             for i in (1, 2))
-         and all(evaluate_integral(f"L({i})*Delta<2>^2*Delta<3>", 3)
-                 == -2 * omegaL for i in (1, 2, 3)),
-         "engine gives -omegaL (twice that at level 3); printed value"
-         " is +omegaL")
-    record("int-lclass-pair-delta2",
-           all(evaluate_integral(f"L({i})*L({j})*Delta<2>", 2) == L2
-               for i, j in ((1, 1), (1, 2), (2, 2)))
-           and all(evaluate_integral(f"L({i})*L({j})*Delta<2>*Delta<3>", 3)
-                   == 2 * L2 for i, j in ((1, 1), (1, 2), (2, 2), (1, 3),
-                                          (2, 3), (3, 3))),
-           "L.L.Delta integrals equal L2, doubling at level 3")
-    record("int-lclass-triple",
-           evaluate_integral("L(1)*L(2)^2", 2) == dL * L2
-           and evaluate_integral("L(1)*L(2)*L(3)*Delta<3>", 3)
-           == 2 * dL * L2
-           and evaluate_integral("L(1)*L(3)^2*Delta<3>", 3) == dL * L2
-           and evaluate_integral("L(2)*L(3)^2*Delta<3>", 3) == dL * L2,
-           "pure L-words with one fibre direction free")
-    record("int-delta2-cubed",
-           evaluate_integral("Delta<2>^3", 2) == -sigma + omega2
-           and evaluate_integral("Delta<2>^3*Delta<3>", 3)
-           == 2 * (-sigma + omega2),
-           "cube of the level-2 diagonal")
-    record("int-lclass3-delta3-squared",
-           all(evaluate_integral(f"L(3)*L({i})*Delta<3>^2", 3)
-               == 2 * L2 - dL * omegaL for i in (1, 2))
-           and evaluate_integral("L(3)^2*Delta<3>^2", 3) == 2 * L2,
-           "the slot-3 polarized square")
-    record("int-lclass-delta2-delta3sq",
-           all(evaluate_integral(f"L({i})*Delta<2>*Delta<3>^2", 3)
-               == -4 * omegaL for i in (1, 2)),
-           "mixed divisor word gives -4 omegaL")
-    record("int-delta2sq-delta3sq",
-           evaluate_integral("Delta<2>^2*Delta<3>^2", 3)
-           == -2 * sigma + 4 * omega2,
-           "squares of both diagonals")
-    note("int-lclass-delta3-cubed",
-         all(evaluate_integral(f"L({i})*Delta<3>^3", 3)
-             == -6 * omegaL - 2 * dL * sigma + dL * omega2 for i in (1, 2))
-         and evaluate_integral("L(3)*Delta<3>^3", 3) == -6 * omegaL,
-         "engine result disagrees with the printed 2*omegaL")
-    record("int-delta2-delta3-cubed",
-           evaluate_integral("Delta<2>*Delta<3>^3", 3)
-           == -6 * sigma + 8 * omega2,
-           "one low diagonal against the top cube")
-    record("int-delta3-fourth",
-           evaluate_integral("Delta<3>^4", 3) == -2 * sigma + 14 * omega2,
-           "fourth power of the top diagonal")
-    record("small-diagonal-facts",
-           integrate_word([("gamma", 3), ("gamma", 3), ("smalldiag",)], 3)
-           == -6 * sigma + 9 * omega2
-           and integrate_word([("gamma", 3), ("gamma", 2), ("smalldiag",)], 3)
-           == -2 * sigma + 3 * omega2
-           and integrate_word([("gamma", 2), ("gamma", 2), ("smalldiag",)], 3)
-           == -sigma + omega2,
-           "the three small-diagonal squares at level 3")
-    scroll_vals = []
-    for i in (1, 2):
-        seed = evaluate_normal(f"F({i}3:)", 3)
-        scroll_vals.append((
-            integrate_word([("gamma", 3), ("gamma", 3)], 3, seed=seed),
-            integrate_word([("gamma", 2), ("gamma", 2)], 3, seed=seed)))
-    note("node-scroll-integrals",
-         all(a == -2 * sigma and b.is_zero() for a, b in scroll_vals),
-         "top-square -2 sigma, low-square 0; the printed mixed product"
-         " lands outside the generator basis and is not evaluated")
-    closure_ok = True
-    for m in (2, 3):
-        got = integrate_word([("gamma", m), ("gamma", m), ("smalldiag",)], m)
-        bm = sum(beta(m))
-        want = (CharacterPolynomial.constant(-bm) * sigma
-                + CharacterPolynomial.constant(comb(m, 2) ** 2) * omega2)
-        closure_ok = closure_ok and got == want
-    record("closure-weights", closure_ok,
-           "small-diagonal square equals -sigma beta_m + C(m,2)^2 omega2")
-
-    # Grassmannian side
-    record("grassmann-degrees",
-           all(grassmann_integral((2, 4), [("row", 4 - j) for j in t]) == 1
-               for t in NSEC3_TUPLES)
-           and grassmann_integral((2, 2), [("row", 1)] * 4) == 2,
-           "all box-(2,4) factors give 1; the classical quadric degree is 2")
-    terms = nsec3_terms()
-    note("nsec3-tuple-list",
-         len(terms) == 10 and terms[(3, 0, 1)][1].is_zero()
-         and not terms[(2, 0, 2)][1].is_zero(),
-         "ten exponent tuples contribute; the printed list omits (3,0,1),"
-         " which vanishes, and (2,0,2), which does not")
-    total = _nsec3_sum(terms)
-    frozen = (3 * L2 * dL * dL + 6 * dL * sigma - 12 * dL * omegaL
-              - 3 * dL * omega2 - 3 * L2 * symbol("g2") - 27 * L2 * dL
-              - 12 * sigma + 72 * omegaL + 28 * omega2 + 60 * L2)
-    record("nsec3-assembly", total == frozen,
-           "assembled 3!N3 matches the frozen engine polynomial")
-
-    return sorted(checks)
-
-
 def cmd_verify_paper(args) -> int:
+    from .paperchecks import run_checks
     failed = 0
-    for cid, status, detail in _battery():
+    for cid, status, detail in run_checks():
         print(f"{status} {cid}: {detail}")
         if status == "FAIL":
             failed += 1

@@ -904,8 +904,8 @@ def _factor_codim(factor, m: int) -> int:
 def _word_codim(factors, m: int):
     """Codimension of a product word, read off its factors unexpanded.
 
-    Returns None when a Delta^(1) factor kills the word.  Factors are
-    read in order up to that one, so a Delta index outside the level or
+    Returns None when a Delta^(1) factor or a zero seed kills the word.
+    Factors are read up to a Delta^(1), so an out-of-range Delta index or
     an unknown factor before it is still an error; two seeds are refused.
     """
     codim = 0
@@ -925,9 +925,8 @@ def _word_codim(factors, m: int):
     if len(seeds) > 1:
         raise UnsupportedProductError(
             "products of two seeded classes are not supported")
-    if seeds:
-        codim += seeds[0].codim() or 0
-    return codim
+    seed_codim = seeds[0].codim() if seeds else 0
+    return None if seed_codim is None else codim + seed_codim
 
 
 def _merge_words(words, m: int, integral: bool) -> list:
@@ -944,7 +943,7 @@ def _merge_words(words, m: int, integral: bool) -> list:
     for coeff, factors in words:
         codim = _word_codim(factors, m)
         if codim is None:
-            continue  # Delta^(1) vanishes
+            continue  # Delta^(1) or a zero seed vanishes
         vanishes = ("gamma", 1) in factors  # so does Gamma^[1]
         if integral:
             if vanishes:

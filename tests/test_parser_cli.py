@@ -13,7 +13,8 @@ from time import perf_counter
 
 import pytest
 
-from tautcalc import cli, polyoracle, schubert, staircase, tautring
+from tautcalc import (cli, paperchecks, polyoracle, schubert, staircase,
+                      tautring)
 from tautcalc.charpoly import symbol
 from tautcalc.cli import main
 from tautcalc.exprparse import (
@@ -735,6 +736,14 @@ class TestCommandImports:
                                         "tautcalc.polyoracle",
                                         "tautcalc.schubert"}
 
+    def test_verify_paper_loads_every_module(self):
+        # the only command that loads the checks module
+        assert self.loaded(["verify-paper"]) == {
+            "tautcalc", "tautcalc.charpoly", "tautcalc.cli",
+            "tautcalc.exprparse", "tautcalc.paperchecks",
+            "tautcalc.polyoracle", "tautcalc.schubert", "tautcalc.staircase",
+            "tautcalc.surface", "tautcalc.tautring"}
+
 
 class TestVerifyBattery:
     def test_all_checks_consistent(self):
@@ -750,3 +759,17 @@ class TestVerifyBattery:
         code, out, err = run_cli(["verify-paper"])
         assert (code, err) == (0, "")
         assert out == VERIFY_PAPER.read_text(encoding="utf-8")
+
+    def test_a_regressed_check_fails_the_run(self, monkeypatch):
+        # one row's expected render no longer matches the engine
+        rows = [(cid, status, detail,
+                 [(3, "Delta<3>^4", "-2*sigma + 15*omega2")]
+                 if cid == "int-delta3-fourth" else cases)
+                for cid, status, detail, cases in paperchecks.CHECKS]
+        monkeypatch.setattr(paperchecks, "CHECKS", rows)
+        code, out, _ = run_cli(["verify-paper"])
+        lines = out.splitlines()
+        assert code == 3
+        assert ("FAIL int-delta3-fourth: fourth power of the top diagonal"
+                in lines)
+        assert lines[-1] == "FAIL: 1 checks regressed"

@@ -488,6 +488,14 @@ class TestNodeSeeds:
             expand_monomial([G(2)], 3, seed=seed)
         assert integrate_word([G(2), G(2)], 3, seed=seed) == CP.zero()
 
+    def test_zero_seed_gives_zero(self):
+        # a seed with no terms kills the word, as a Delta^(1) factor
+        # does, whatever the word's length
+        zero = TautExpr(3)
+        for n in (1, 4, 5):
+            assert integrate_word([G(3)] * n, 3, seed=zero) == CP.zero()
+            assert expand_monomial([G(3)] * n, 3, seed=zero).is_zero()
+
     def test_two_seeds_rejected(self):
         seed = expr(3, [(q(3, ((1, 2), "1")), one)])
         with pytest.raises(UnsupportedProductError):
