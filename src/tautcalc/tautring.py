@@ -29,14 +29,20 @@ those) but skips the range, duplicate, split and coverage checks that
 rewrites keep by construction.  Codimension and hash are computed once,
 when a generator is built.
 
-The Gamma.NS rewrite uses the self-intersection relation on a scroll.
-Its bundle has two line-bundle factors a and b, so c1 = a + b and
-c2 = a.b are both read off one list of moves, each carrying its
+Both Gamma rewrites work block by block, a free slot counting as a
+unit singleton block.  Gamma.q joins each pair of blocks once.  Gamma.NS
+uses the self-intersection relation on a scroll.  Its bundle has two
+line-bundle factors a and b, so c1 = a + b and c2 = a.b are both read
+off one list of moves, one per side block, each carrying its
 coefficient in a and in b.  Those coefficients distinguish the top
 slot m of the level from the other slots (the tower is built by
 adjoining one slot at a time, and the last slot carries one extra
 twist); the uniform table one might guess instead fails every
-cross-check of the integral battery.
+cross-check of the integral battery.  Two moves give the same product
+in either order, so c2 resolves each unordered pair of moves once.
+
+A render sorts its terms by generator; the bare symbol F(13:) of a
+complete unit filling sorts at the filling with every free slot on J.
 
 Work is shared within one call or one command, never across them.  The
 word evaluators behind `integrate_word` and `expand_monomial`, and
@@ -379,71 +385,38 @@ def unit(m: int) -> TautExpr:
     return TautExpr(m, {DiagMonomial(m): 1})
 
 
-# -- partition surgery -------------------------------------------------
-
-
-def _merge_pair(mono: DiagMonomial, i: int, j: int) -> tuple:
-    """Join slots i, j of a monomial; returns (coeff, monomial) or None."""
-    bi = mono.block_of(i)
-    bj = mono.block_of(j)
-    blocks = list(mono.blocks)
-    if bi is None and bj is None:
-        blocks.append(((i, j), "1"))
-        return 1, DiagMonomial._new(mono.m, blocks)
-    if bi is not None and bj is None:
-        slots, key = blocks[bi]
-        blocks[bi] = (tuple(sorted(slots + (j,))), key)
-        return 1, DiagMonomial._new(mono.m, blocks)
-    if bi is None:
-        slots, key = blocks[bj]
-        blocks[bj] = (tuple(sorted(slots + (i,))), key)
-        return 1, DiagMonomial._new(mono.m, blocks)
-    if bi == bj:
-        raise ValueError("pair already inside one block")
-    si, ki = blocks[bi]
-    sj, kj = blocks[bj]
-    merged = _merge_keys(ki, kj)
-    if merged is None:
-        return None
-    coeff, key = merged
-    blocks = [b for idx, b in enumerate(blocks) if idx not in (bi, bj)]
-    blocks.append((tuple(sorted(si + sj)), key))
-    return coeff, DiagMonomial._new(mono.m, blocks)
-
-
-def _free_slots(mono: DiagMonomial):
-    used = {s for slots, _ in mono.blocks for s in slots}
-    return [s for s in range(1, mono.m + 1) if s not in used]
-
-
 # -- Gamma on diagonal monomials ---------------------------------------
 
 
 def mul_gamma_diag(mono: DiagMonomial) -> TautExpr:
-    """Gamma^[m] . q_{(I.)}[(c.)].
+    """Gamma^[m] . q_{(I.)}[(c.)], block by block.
 
-    Three families: pair joins over pairs not inside a single block,
-    node scrolls for every unit block of size >= 2 (beta-weighted
-    splits, side points distributed over the two branches), and the
-    within-block correction -binom(|B|,2) omega.
+    A free slot counts as a unit singleton block.  Three families: joins
+    of two blocks P, Q, once per block pair with the |P|.|Q| slot pairs
+    between them as a factor of the key product's coefficient; node
+    scrolls for every unit block of size >= 2 (beta-weighted splits,
+    the other blocks, then the free slots, distributed over the two
+    branches); and the within-block correction -binom(|B|,2) omega.
     """
     m = mono.m
     out = TautExpr(m)
 
-    free = _free_slots(mono)
-    # distinct slot pairs joining the same two blocks are distinct
-    # summands, so run over slot pairs rather than block pairs
-    for i, j in combinations(range(1, m + 1), 2):
-        bi, bj = mono.block_of(i), mono.block_of(j)
-        if bi is not None and bi == bj:
-            continue
-        merged = _merge_pair(mono, i, j)
+    used = {s for slots, _ in mono.blocks for s in slots}
+    free = [((s,), "1") for s in range(1, m + 1) if s not in used]
+    # in least-slot order the joins keep the term order of the slot-pair
+    # definition, which meets each block pair first at its least slots
+    blocks = sorted(mono.blocks + tuple(free), key=_least_slot)
+    for p, q in combinations(blocks, 2):
+        merged = _merge_keys(p[1], q[1])
         if merged is None:
             continue
-        coeff, joined = merged
-        out.add(joined, coeff)
+        coeff, key = merged
+        rest = [b for b in blocks if b is not p and b is not q]
+        rest.append((tuple(sorted(p[0] + q[0])), key))
+        out.add(DiagMonomial._new(m, rest), coeff * len(p[0]) * len(q[0]))
 
-    for idx, (slots, key) in enumerate(mono.blocks):
+    for idx, block in enumerate(mono.blocks):
+        slots, key = block
         size = len(slots)
         if size < 2:
             continue
@@ -451,13 +424,11 @@ def mul_gamma_diag(mono: DiagMonomial) -> TautExpr:
         repaired = _merge_keys(key, "omega")
         if repaired is not None:
             coeff, new_key = repaired
-            out.add(mono._with_key(idx, new_key),
-                    coeff * -comb(size, 2))
+            out.add(mono._with_key(idx, new_key), coeff * -comb(size, 2))
         if key != "1":
             continue
-        others = ([(bk[0], bk[1]) for k2, bk in enumerate(mono.blocks) if k2 != idx]
-                  + [((s,), "1") for s in free])
-        assignments = _distributions(others)
+        assignments = _distributions(
+            [b for b in mono.blocks if b is not block] + free)
         for split_j in range(1, size):
             # the staircase weight beta(size, split_j), in closed form
             w = size * split_j * (size - split_j) // 2
@@ -563,36 +534,30 @@ def mul_class(gen, slot: int, key: str) -> TautExpr:
 # -- Gamma on node classes ----------------------------------------------
 
 
-def _chern_exponents(side_name: str, has_top: bool, split: int,
-                     r: int) -> tuple:
-    # exponents of the two line-bundle factors at one side point; they
-    # sum to the c1 twist, and the top slot adds one to both
-    if side_name == "jblocks":
-        e = split - 1 + has_top
-        return e, e + 1
-    e = r - split - 1 + has_top
-    return e + 1, e
-
-
 def _chern_factors(node: NodeClass) -> list:
-    """The two line-bundle divisors a, b of the scroll bundle, side by side.
+    """The two line-bundle divisors a, b of the scroll bundle, block by block.
 
     Returns (a, b, move) triples, a and b the move's coefficients in
     the two factors, so c1 = a + b and c2 = a.b are read off one list.
     A move names its blocks by their slots: ("move", side_name, slots)
-    slides a block into the node, once per element with the exponents
-    of `_chern_exponents`; ("pair", side_name, sa, sb) joins two blocks;
+    slides a block B into the node, its exponents summed over the
+    block's points, -(|B|.e + [m in B]) and -(|B|.(e+1) + [m in B]) with
+    e = split - 1 on J and e = |I| - split - 1 on K, the larger one
+    first on K; ("pair", side_name, sa, sb) joins two blocks;
     ("omega", side_name, slots), with weight binom(|B|, 2), stands for
     the pairs within one block.
     """
-    r = len(node.I)
     terms = []
-    for side_name in ("jblocks", "kblocks"):
+    for side_name, e in (("jblocks", node.split - 1),
+                         ("kblocks", len(node.I) - node.split - 1)):
         side = getattr(node, side_name)
         for slots, _key in side:
-            for a in slots:
-                ea, eb = _chern_exponents(side_name, a == node.m, node.split, r)
-                terms.append((-ea, -eb, ("move", side_name, slots)))
+            # the top slot adds one to both exponents
+            top = node.m in slots
+            low, high = len(slots) * e + top, len(slots) * (e + 1) + top
+            if side_name == "kblocks":
+                low, high = high, low
+            terms.append((-low, -high, ("move", side_name, slots)))
         for (sa, _ka), (sb, _kb) in combinations(side, 2):
             terms.append((-1, -1, ("pair", side_name, sa, sb)))
         for slots, _key in side:
@@ -667,9 +632,13 @@ def mul_gamma_node(node: NodeClass) -> TautExpr:
         moved = _apply_move(node, move)
         if moved is not None:
             out.add(moved, -(a + b))
-    for a, _, mv1 in factors:
-        for _, b, mv2 in factors:
-            resolved = _resolve_c2(scroll, a * b, mv1, mv2)
+    # the product of two moves does not depend on their order, so each
+    # unordered pair of factors is resolved once
+    for i, (a1, b1, mv1) in enumerate(factors):
+        for j in range(i, len(factors)):
+            a2, b2, mv2 = factors[j]
+            coeff = a1 * b1 if i == j else a1 * b2 + a2 * b1
+            resolved = _resolve_c2(scroll, coeff, mv1, mv2)
             if resolved is not None:
                 coeff, gen = resolved
                 out.add(gen, coeff)
@@ -1061,7 +1030,8 @@ def _collapsed_groups(expr: TautExpr):
 
     A profile with |I| = 2 whose complement is spread over the sides as
     unit singletons in all possible ways, with one common coefficient,
-    renders as the bare symbol F(13:).
+    renders as the bare symbol F(13:).  The symbol sorts at the filling
+    with every free slot on J, so a render depends only on the value.
     """
     remaining = dict(expr.terms)
     collapsed = []
@@ -1081,7 +1051,7 @@ def _collapsed_groups(expr: TautExpr):
             del remaining[f]
         name = "NS" if gen.gamma_power else "F"
         label = name + "(%s:)" % "".join(str(s) for s in gen.I)
-        collapsed.append((gen, label, coeffs[0]))
+        collapsed.append((fillings[0], label, coeffs[0]))
     return remaining, collapsed
 
 

@@ -715,6 +715,15 @@ class TestCanonicalCoefficients:
         assert all(type(c) is int
                    for c in evaluate_normal(pairs[1][0], 3).terms.values())
 
+    def test_equal_expressions_render_alike(self):
+        # the bare F(13:) sorts at its filling with every free slot on
+        # J, whichever filling was added first
+        a = evaluate_normal("F(13:)+F(1|3:|{2}(L))", 3)
+        b = evaluate_normal("F(1|3:|{2})+F(1|3:|{2}(L))+F(1|3:{2}|)", 3)
+        assert a == b and hash(a) == hash(b)
+        assert list(a.terms) != list(b.terms)
+        assert render_expr(a) == render_expr(b) == "F(1|3:|{2}(L)) + F(13:)"
+
 
 def test_importing_the_engine_loads_no_oracle_or_parser():
     # the package re-exports nothing, so the engine loads only its own
