@@ -82,15 +82,6 @@ def _emit(args, pairs):
 # -- simple numeric commands ---------------------------------------------
 
 
-def _etas_from(args):
-    base = (Fraction(1), Fraction(2))
-    if getattr(args, "eta", None) is None:
-        return base
-    extra = args.eta
-    etas = tuple(dict.fromkeys(base + (extra,)))
-    return etas if len(etas) >= 2 else base
-
-
 def cmd_alpha(args) -> int:
     from .staircase import alpha, printed_alpha_closed_form
     m = args.level
@@ -109,7 +100,9 @@ def cmd_alpha(args) -> int:
 def cmd_beta(args) -> int:
     from .staircase import beta
     m = args.level
-    etas = _etas_from(args)
+    # the base etas 1 and 2, then --eta unless it is one of them
+    extra = () if args.eta is None else (args.eta,)
+    etas = tuple(dict.fromkeys((Fraction(1), Fraction(2)) + extra))
     if args.slope is not None:
         value = beta(m, args.slope, etas=etas)
         _emit(args, [("beta", value)])

@@ -264,20 +264,20 @@ class _Parser:
             tail = self.digit_slots()
             split = len(first)
         self.expect(":")
-        jblocks, kblocks = (), ()
+        sides = [(), ()]
         if self.peek()[0] != ")":
-            jblocks = self.side_blocks()
+            sides[0] = self.side_blocks()
         second_side = self.peek()[0] == "|"
         if second_side:
             self.next()
-            kblocks = self.side_blocks()
+            sides[1] = self.side_blocks()
         self.expect(")")
         if self.peek()[0] == "@":
             self.fail("node profiles take no tag: the surface has no"
                       " irreducible nodes")
         if split is not None and not second_side:
             self.fail("explicit reducible profiles need the second side bar")
-        return ("node", first + tail, split, jblocks, kblocks, gamma_power)
+        return ("node", first + tail, split, *sides, gamma_power)
 
     def digit_slots(self):
         tok = self.expect("INT")
@@ -326,12 +326,12 @@ def _seed(ast, m: int) -> TautExpr:
     if ast[0] == "diag":
         blocks = tuple((tuple(slots), key) for slots, key in ast[1])
         return TautExpr(m, {DiagMonomial(m, blocks): 1})
-    _tag, I, split, jblocks, kblocks, gamma_power = ast
+    _tag, I, split, *sides, gamma_power = ast
     if split is None:
         # short form: sum of complete unit fillings of the free slots
         nodes = _unit_fillings(m, I, gamma_power)
     else:
-        nodes = [NodeClass(m, I, split, jblocks, kblocks, gamma_power)]
+        nodes = [NodeClass(m, I, split, *sides, gamma_power)]
     return TautExpr(m, {node: 1 for node in nodes})
 
 
@@ -421,16 +421,6 @@ def _words(ast, m: int):
         return _product(_words(ast[1], m), _words(ast[2], m), m)
     if kind == "pow":
         base, n = _words(ast[1], m), ast[2]
-        if len(base) == 1 and n > 0:
-            # one word: its power in one step, not n products
-            c, word = base[0]
-            if not isinstance(word, _Past) and word[2] * n <= m + 1:
-                powers, seeds, codim = word
-                return [(c ** n, (tuple((f, k * n) for f, k in powers),
-                                  seeds * n, codim * n))]
-            past = _as_past(word)
-            return [(0, _Past(past.codim * n, past.level_one,
-                                 (past.seeds * min(n, 2))[:2]))]
         # repeated squaring, about 2 log2(n) products as in
         # CharacterPolynomial.__pow__.  A product lists each like word
         # where its lexicographically first sequence of base words puts

@@ -38,12 +38,13 @@ class SurfaceGeometry:
         }
         self.fibre_degrees = {"omega": g2, "L": dL, "f": 0}
         self.node_count = symbol("sigma")
-        self.side_degrees = {"J": symbol("g2J"), "K": symbol("g2K")}
+        self.side_degrees = (symbol("g2J"), symbol("g2K"))
 
     def pair(self, a: str, b: str) -> CharacterPolynomial | int:
         key = tuple(sorted((a, b)))
         if key not in self.pairing:
-            raise KeyError(f"no pairing registered for divisors {a!r}, {b!r}")
+            # named in sorted order, so one pairing gets one message
+            raise KeyError("no pairing registered for divisors %r, %r" % key)
         return self.pairing[key]
 
 

@@ -38,8 +38,11 @@ coefficient in a and in b.  Those coefficients distinguish the top
 slot m of the level from the other slots (the tower is built by
 adjoining one slot at a time, and the last slot carries one extra
 twist); the uniform table one might guess instead fails every
-cross-check of the integral battery.  Two moves give the same product
-in either order, so c2 resolves each unordered pair of moves once.
+cross-check of the integral battery.  Gamma.NS is one pass over the
+moves: each move's image on the section is built once, as its c1 term,
+and is the first step of every c2 product that starts with it, a join
+first.  Two moves give the same product in either order, so c2 takes
+each unordered pair of moves once.
 
 A render sorts its terms by generator; the bare symbol F(13:) of a
 complete unit filling sorts at the filling with every free slot on J.
@@ -227,12 +230,13 @@ class NodeClass:
 
     I is the set of slots colliding at the node, split = |I1| the
     number of them approaching along the first branch (I1 is read as
-    the initial segment of I; only the size is intrinsic).  J and K
-    list the blocks sitting on the two side components, each decorated
-    by a key of degree <= 1.  The profile must cover [1, m].
+    the initial segment of I; only the size is intrinsic).  sides =
+    (J, K) lists the blocks sitting on the two side components, each
+    decorated by a key of degree <= 1; a side is named by its index,
+    0 for J and 1 for K.  The profile must cover [1, m].
     """
 
-    __slots__ = ("m", "I", "split", "jblocks", "kblocks", "gamma_power",
+    __slots__ = ("m", "I", "split", "sides", "gamma_power",
                  "_key", "_codim", "_hash")
 
     def __init__(self, m, I, split, jblocks=(), kblocks=(), gamma_power=0):
@@ -241,28 +245,29 @@ class NodeClass:
             raise ValueError(f"split {split} invalid for |I| = {len(I)}")
         if gamma_power not in (0, 1):
             raise ValueError("gamma_power is 0 or 1")
-        jblocks = _side([(tuple(sorted(slots)), key) for slots, key in jblocks])
-        kblocks = _side([(tuple(sorted(slots)), key) for slots, key in kblocks])
+        sides = tuple(_side([(tuple(sorted(s)), k) for s, k in blocks])
+                      for blocks in (jblocks, kblocks))
+        both = sides[0] + sides[1]
         covered = set()
         # I counts like one more block, so a repeated colliding slot is
         # refused as well
-        for slots, _ in ((I, "1"),) + jblocks + kblocks:
+        for slots, _ in ((I, "1"),) + both:
             for s in slots:
                 if s in covered:
                     raise ValueError(f"slot {s} used twice in node profile")
                 covered.add(s)
         if covered != set(range(1, m + 1)):
             raise ValueError("node profile must cover every slot")
-        for slots, key in jblocks + kblocks:
+        for slots, key in both:
             # no rewrite puts a pin on a single slot
             if key == "pin" and len(slots) == 1:
                 raise ValueError(f"pin on the one-slot side block"
                                  f" {{{slots[0]}}}: a pin joins two side"
                                  " points")
-        self._fill(m, I, split, jblocks, kblocks, gamma_power)
+        self._fill(m, I, split, sides, gamma_power)
 
     @classmethod
-    def _new(cls, m, I, split, jblocks, kblocks, gamma_power) -> "NodeClass":
+    def _new(cls, m, I, split, sides, gamma_power) -> "NodeClass":
         """Rewrite output: a valid split and a disjoint, covering profile.
 
         The rewrite rules keep these by construction, so only the
@@ -270,21 +275,21 @@ class NodeClass:
         slots ordered by least slot) and the side degrees checked.
         """
         node = object.__new__(cls)
-        node._fill(m, tuple(sorted(I)), split, _side(jblocks), _side(kblocks),
-                   gamma_power)
+        node._fill(m, tuple(sorted(I)), split,
+                   (_side(sides[0]), _side(sides[1])), gamma_power)
         return node
 
-    def _fill(self, m, I, split, jblocks, kblocks, gamma_power):
+    def _fill(self, m, I, split, sides, gamma_power):
         self.m = m
         self.I = I
         self.split = split
-        self.jblocks = jblocks
-        self.kblocks = kblocks
+        self.sides = sides
         self.gamma_power = gamma_power
-        degs = sum(_key_degree(k) for _, k in jblocks + kblocks)
-        dim = len(jblocks) + len(kblocks) + 1 - gamma_power - degs
+        both = sides[0] + sides[1]
+        degs = sum(_key_degree(k) for _, k in both)
+        dim = len(both) + 1 - gamma_power - degs
         self._codim = m + 1 - dim
-        self._key = (m, I, split, jblocks, kblocks, gamma_power)
+        self._key = (m, I, split) + sides + (gamma_power,)
         self._hash = hash(("node",) + self._key)
 
     def codim(self) -> int:
@@ -313,7 +318,7 @@ class NodeClass:
                 parts.append(body)
             return ",".join(parts)
 
-        return f"{name}({i1}|{i2}:{side(self.jblocks)}|{side(self.kblocks)})"
+        return f"{name}({i1}|{i2}:" + "|".join(map(side, self.sides)) + ")"
 
     def __repr__(self):
         return f"NodeClass({self.render()}, m={self.m})"
@@ -432,20 +437,16 @@ def mul_gamma_diag(mono: DiagMonomial) -> TautExpr:
         for split_j in range(1, size):
             # the staircase weight beta(size, split_j), in closed form
             w = size * split_j * (size - split_j) // 2
-            for jside, kside in assignments:
-                out.add(NodeClass._new(m, slots, split_j, jside, kside, 0), w)
+            for sides in assignments:
+                out.add(NodeClass._new(m, slots, split_j, sides, 0), w)
     return out
 
 
 def _distributions(blocks):
-    """All ways to lay the remaining blocks on the two side components."""
-    out = []
-    n = len(blocks)
-    for mask in range(1 << n):
-        jside = tuple(b for t, b in enumerate(blocks) if not mask >> t & 1)
-        kside = tuple(b for t, b in enumerate(blocks) if mask >> t & 1)
-        out.append((jside, kside))
-    return out
+    """Every (J, K) laying of the blocks: bit t of mask is block t's side."""
+    return [tuple(tuple(b for t, b in enumerate(blocks)
+                        if (mask >> t & 1) == side) for side in (0, 1))
+            for mask in range(1 << len(blocks))]
 
 
 # -- node profile edits -------------------------------------------------
@@ -459,26 +460,24 @@ def _unit_fillings(m: int, I, gamma_power: int) -> list:
     `F(13:)` hands its colliding slots straight in.
     """
     others = [((s,), "1") for s in range(1, m + 1) if s not in I]
-    return [NodeClass(m, I, 1, jside, kside, gamma_power)
-            for jside, kside in _distributions(others)]
+    return [NodeClass(m, I, 1, *sides, gamma_power)
+            for sides in _distributions(others)]
 
 
-def _edit(node: NodeClass, side_name=None, side=(), m=None, I=None,
+def _edit(node: NodeClass, side=None, blocks=(), m=None, I=None,
           split=None, gamma_power=None) -> NodeClass:
-    """Rewrite output: node with side J or K replaced, the rest kept.
+    """Rewrite output: node with one side replaced, the rest kept.
 
-    side_name ("jblocks" or "kblocks") names the side that `side`
-    replaces; m, I, split and gamma_power change only where given.
+    blocks replace sides[side] (0 for J, 1 for K) when a side is
+    given; m, I, split and gamma_power change only where given.
     """
-    jblocks, kblocks = node.jblocks, node.kblocks
-    if side_name == "jblocks":
-        jblocks = side
-    elif side_name == "kblocks":
-        kblocks = side
+    sides = list(node.sides)
+    if side is not None:
+        sides[side] = blocks
     return NodeClass._new(node.m if m is None else m,
                           node.I if I is None else I,
                           node.split if split is None else split,
-                          jblocks, kblocks,
+                          sides,
                           node.gamma_power if gamma_power is None
                           else gamma_power)
 
@@ -516,18 +515,17 @@ def mul_class(gen, slot: int, key: str) -> TautExpr:
     # node generator: positive-degree classes die on the node slots
     if slot in gen.I or _key_degree(key) > 1:
         return out
-    for side_name in ("jblocks", "kblocks"):
-        side = getattr(gen, side_name)
-        t = _find_block(side, (slot,))
+    for side, blocks in enumerate(gen.sides):
+        t = _find_block(blocks, (slot,))
         if t is not None:
             break
     else:
         raise ValueError(f"slot {slot} missing from node profile")
-    slots, cur = side[t]
+    slots, cur = blocks[t]
     if cur == "1":
-        new_side = list(side)
-        new_side[t] = (slots, key)
-        out.add(_edit(gen, side_name, new_side), 1)
+        blocks = list(blocks)
+        blocks[t] = (slots, key)
+        out.add(_edit(gen, side, blocks), 1)
     return out
 
 
@@ -539,82 +537,59 @@ def _chern_factors(node: NodeClass) -> list:
 
     Returns (a, b, move) triples, a and b the move's coefficients in
     the two factors, so c1 = a + b and c2 = a.b are read off one list.
-    A move names its blocks by their slots: ("move", side_name, slots)
-    slides a block B into the node, its exponents summed over the
-    block's points, -(|B|.e + [m in B]) and -(|B|.(e+1) + [m in B]) with
-    e = split - 1 on J and e = |I| - split - 1 on K, the larger one
-    first on K; ("pair", side_name, sa, sb) joins two blocks;
-    ("omega", side_name, slots), with weight binom(|B|, 2), stands for
-    the pairs within one block.
+    A move names its side by index and its blocks by their slots:
+    ("move", side, slots) slides a block B into the node, its exponents
+    summed over the block's points, -(|B|.e + [m in B]) and
+    -(|B|.(e+1) + [m in B]) with e = split - 1 on J and
+    e = |I| - split - 1 on K, the larger one first on K;
+    ("pair", side, sa, sb) joins two blocks; ("omega", side, slots),
+    with weight binom(|B|, 2), stands for the pairs within one block.
     """
     terms = []
-    for side_name, e in (("jblocks", node.split - 1),
-                         ("kblocks", len(node.I) - node.split - 1)):
-        side = getattr(node, side_name)
-        for slots, _key in side:
+    for side, e in enumerate((node.split - 1, len(node.I) - node.split - 1)):
+        blocks = node.sides[side]
+        for slots, _key in blocks:
             # the top slot adds one to both exponents
             top = node.m in slots
             low, high = len(slots) * e + top, len(slots) * (e + 1) + top
-            if side_name == "kblocks":
+            if side:
                 low, high = high, low
-            terms.append((-low, -high, ("move", side_name, slots)))
-        for (sa, _ka), (sb, _kb) in combinations(side, 2):
-            terms.append((-1, -1, ("pair", side_name, sa, sb)))
-        for slots, _key in side:
+            terms.append((-low, -high, ("move", side, slots)))
+        for (sa, _ka), (sb, _kb) in combinations(blocks, 2):
+            terms.append((-1, -1, ("pair", side, sa, sb)))
+        for slots, _key in blocks:
             if len(slots) >= 2:
                 w = -comb(len(slots), 2)
-                terms.append((w, w, ("omega", side_name, slots)))
+                terms.append((w, w, ("omega", side, slots)))
     return terms
 
 
-def _apply_move(node: NodeClass, move):
+def _apply_move(node: NodeClass, move, gamma_power=None):
     """The node after one move (or a "pin" join); None if it vanishes.
 
     A move's blocks are found by their slots, also after an earlier move
     joined them into a larger block; a block that went into the node is
     gone, and the move with it.  A join keeps the key of a decorated
-    block if only one is; every other move needs unit blocks.
+    block if only one is; every other move needs unit blocks.  The
+    result has the node's gamma power unless one is given.
     """
-    kind, side_name = move[:2]
-    side = getattr(node, side_name)
-    found = [_find_block(side, slots) for slots in move[2:]]
+    kind, side = move[:2]
+    blocks = node.sides[side]
+    found = [_find_block(blocks, slots) for slots in move[2:]]
     if None in found:
         return None
-    keys = [side[t][1] for t in found if side[t][1] != "1"]
+    keys = [blocks[t][1] for t in found if blocks[t][1] != "1"]
     if len(keys) > (kind == "pair"):
         return None
-    slots = tuple(sorted(s for t in found for s in side[t][0]))
-    rest = [b for t, b in enumerate(side) if t not in found]
+    slots = tuple(sorted(s for t in found for s in blocks[t][0]))
+    rest = [b for t, b in enumerate(blocks) if t not in found]
     if kind == "move":
         # a J block approaches along the first branch
-        split = node.split + (len(slots) if side_name == "jblocks" else 0)
-        return _edit(node, side_name, rest, I=node.I + slots, split=split)
+        split = node.split + (0 if side else len(slots))
+        return _edit(node, side, rest, I=node.I + slots, split=split,
+                     gamma_power=gamma_power)
     key = keys[0] if keys else ("1" if kind == "pair" else kind)
-    return _edit(node, side_name, rest + [(slots, key)])
-
-
-def _resolve_c2(node: NodeClass, coeff: int, mv1, mv2):
-    """Product of two Chern-factor moves on the scroll: (coeff, node).
-
-    A join is applied before the other move, so a block it joined
-    slides into the node together with its partner.
-    """
-    if mv1 == mv2:
-        if mv1[0] != "pair":
-            return None  # a node-section class squares to zero on the base
-        # the squared join contributes minus the side omega-degree
-        pinned = _apply_move(node, ("pin",) + mv1[1:])
-        if pinned is None:
-            return None
-        side_tag = "J" if mv1[1] == "jblocks" else "K"
-        return coeff * (-GEOMETRY.side_degrees[side_tag]), pinned
-    if mv2[0] == "pair":
-        mv1, mv2 = mv2, mv1
-    first = _apply_move(node, mv1)
-    second = None if first is None else _apply_move(first, mv2)
-    if second is None:
-        return None
-    return coeff, second
+    return _edit(node, side, rest + [(slots, key)], gamma_power=gamma_power)
 
 
 def mul_gamma_node(node: NodeClass) -> TautExpr:
@@ -626,22 +601,27 @@ def mul_gamma_node(node: NodeClass) -> TautExpr:
     # Gamma^2 . F = Gamma.(c1 F-classes) + c2 F-classes, with c1 = a + b
     # and c2 = a.b for the two factors; the first term turns each
     # scroll into minus its section
-    scroll = _edit(node, gamma_power=0)
     factors = _chern_factors(node)
-    for a, b, move in factors:
-        moved = _apply_move(node, move)
-        if moved is not None:
-            out.add(moved, -(a + b))
-    # the product of two moves does not depend on their order, so each
-    # unordered pair of factors is resolved once
+    moved = [_apply_move(node, move) for _, _, move in factors]
+    for (a, b, _move), gen in zip(factors, moved):
+        if gen is not None:
+            out.add(gen, -(a + b))
+    # c2 once per unordered pair, from the image of the join if there is
+    # one, so a block it joined slides into the node with its partner
     for i, (a1, b1, mv1) in enumerate(factors):
-        for j in range(i, len(factors)):
+        # a squared join contributes minus the side omega-degree; any
+        # other node-section class squares to zero on the base
+        if mv1[0] == "pair":
+            pinned = _apply_move(node, ("pin",) + mv1[1:], gamma_power=0)
+            if pinned is not None:
+                out.add(pinned, a1 * b1 * -GEOMETRY.side_degrees[mv1[1]])
+        for j in range(i + 1, len(factors)):
             a2, b2, mv2 = factors[j]
-            coeff = a1 * b1 if i == j else a1 * b2 + a2 * b1
-            resolved = _resolve_c2(scroll, coeff, mv1, mv2)
-            if resolved is not None:
-                coeff, gen = resolved
-                out.add(gen, coeff)
+            first, second = (j, mv1) if mv2[0] == "pair" else (i, mv2)
+            if moved[first] is not None:
+                gen = _apply_move(moved[first], second, gamma_power=0)
+                if gen is not None:
+                    out.add(gen, a1 * b2 + a2 * b1)
     return out
 
 
@@ -679,9 +659,8 @@ def pullback(expr: TautExpr) -> TautExpr:
             continue
         # every class gets the completions with the new slot as a unit
         # point on each side; sections also get polarization corrections
-        for side_name in ("jblocks", "kblocks"):
-            side = getattr(gen, side_name) + (((m,), "1"),)
-            out.add(_edit(gen, side_name, side, m=m), coeff)
+        for side, blocks in enumerate(gen.sides):
+            out.add(_edit(gen, side, blocks + (((m,), "1"),), m=m), coeff)
         if gen.gamma_power == 0:
             continue
         # the new point can also run into the node along either branch
@@ -691,13 +670,11 @@ def pullback(expr: TautExpr) -> TautExpr:
         for new_split, weight in branch_pins:
             out.add(_edit(gen, m=m, I=gen.I + (m,), split=new_split,
                           gamma_power=0), coeff * weight)
-        for side_name in ("jblocks", "kblocks"):
-            side = getattr(gen, side_name)
-            for idx, (slots, key) in enumerate(side):
-                new_side = list(side)
-                new_side[idx] = (tuple(sorted(slots + (m,))), key)
-                out.add(_edit(gen, side_name, new_side, m=m, gamma_power=0),
-                        coeff)
+        for side, blocks in enumerate(gen.sides):
+            for idx, (slots, key) in enumerate(blocks):
+                grown = list(blocks)
+                grown[idx] = (tuple(sorted(slots + (m,))), key)
+                out.add(_edit(gen, side, grown, m=m, gamma_power=0), coeff)
     return out
 
 
@@ -753,7 +730,7 @@ def integrate(expr: TautExpr) -> CharacterPolynomial:
         if gen.gamma_power == 0:
             raise DimensionError("node scrolls never reach dimension 0")
         value = GEOMETRY.node_count
-        for slots, key in gen.jblocks + gen.kblocks:
+        for slots, key in gen.sides[0] + gen.sides[1]:
             if key == "pin":
                 continue
             if _key_degree(key) != 1:

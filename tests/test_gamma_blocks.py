@@ -7,20 +7,24 @@ is defined, one join per pair of slots with the copies merged by
 exceptions included (the golden file covers levels 2-4, hypothesis
 draws level 5).
 
-`mul_gamma_node` resolves each unordered pair of Chern-factor moves
-once, which holds because both orders of two moves give the same
-product.
+`mul_gamma_node` takes c2 over each unordered pair of Chern-factor
+moves once, starting from the move's image it built for c1; that holds
+because both orders of two moves give the same product.
+`ordered_pair_image` below is the rewrite as it is defined, c2 over
+every ordered pair of moves, and the two must agree term by term
+(their term orders differ).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tautcalc import tautring
+from tautcalc.surface import GEOMETRY
 from tautcalc.tautring import DiagMonomial, NodeClass, TautExpr
 from test_golden_diag import KEYS
 from test_golden_nodes import node_classes
@@ -77,7 +81,7 @@ def slot_pair_image(mono: DiagMonomial) -> TautExpr:
             for mask in range(1 << len(others)):
                 j = [b for t, b in enumerate(others) if not mask >> t & 1]
                 k = [b for t, b in enumerate(others) if mask >> t & 1]
-                out.add(NodeClass._new(m, slots, split, j, k, 0), w)
+                out.add(NodeClass._new(m, slots, split, (j, k), 0), w)
     return out
 
 
@@ -113,9 +117,45 @@ def _sections(top: int) -> list:
             if node.gamma_power == 1]
 
 
-def _resolved(scroll, mv1, mv2):
+def _product(node: NodeClass, mv1, mv2):
+    """The c2 product of two moves on the scroll: (factor, node) or None.
+
+    A join is applied first; a squared join is the pinned join times
+    minus the side degree, any other square vanishes.
+    """
+    scroll = tautring._edit(node, gamma_power=0)
+    if mv1 == mv2:
+        if mv1[0] != "pair":
+            return None
+        pinned = tautring._apply_move(scroll, ("pin",) + mv1[1:])
+        side_degree = GEOMETRY.side_degrees[mv1[1]]
+        return None if pinned is None else (-side_degree, pinned)
+    if mv2[0] == "pair":
+        mv1, mv2 = mv2, mv1
+    first = tautring._apply_move(scroll, mv1)
+    second = None if first is None else tautring._apply_move(first, mv2)
+    return None if second is None else (1, second)
+
+
+def ordered_pair_image(node: NodeClass) -> TautExpr:
+    """Gamma^[m] . NS: c1 over every move, c2 over every ordered pair."""
+    out = TautExpr(node.m)
+    factors = tautring._chern_factors(node)
+    for a, b, move in factors:
+        moved = tautring._apply_move(node, move)
+        if moved is not None:
+            out.add(moved, -(a + b))
+    for a1, _b1, mv1 in factors:
+        for _a2, b2, mv2 in factors:
+            product = _product(node, mv1, mv2)
+            if product is not None:
+                out.add(product[1], a1 * b2 * product[0])
+    return out
+
+
+def _either_order(node, mv1, mv2):
     try:
-        return tautring._resolve_c2(scroll, 1, mv1, mv2)
+        return _product(node, mv1, mv2)
     except ValueError as exc:
         return str(exc)
 
@@ -123,29 +163,18 @@ def _resolved(scroll, mv1, mv2):
 def test_two_moves_give_one_product_in_either_order():
     pairs = products = 0
     for node in _sections(4):
-        scroll = tautring._edit(node, gamma_power=0)
         factors = tautring._chern_factors(node)
         for (_, _, mv1), (_, _, mv2) in combinations(factors, 2):
-            first = _resolved(scroll, mv1, mv2)
-            assert first == _resolved(scroll, mv2, mv1), (node, mv1, mv2)
+            first = _either_order(node, mv1, mv2)
+            assert first == _either_order(node, mv2, mv1), (node, mv1, mv2)
             pairs += 1
             products += first is not None
     assert (pairs, products) == (480, 48)
 
 
-def test_each_unordered_pair_is_resolved_once(monkeypatch):
-    seen = []
-    resolve = tautring._resolve_c2
-
-    def counted(scroll, coeff, mv1, mv2):
-        seen.append((mv1, mv2))
-        return resolve(scroll, coeff, mv1, mv2)
-
-    monkeypatch.setattr(tautring, "_resolve_c2", counted)
-    for node in _sections(4):
-        seen.clear()
-        tautring.mul_gamma_node(node)
-        moves = [mv for _, _, mv in tautring._chern_factors(node)]
-        assert len(seen) == len({frozenset(p) for p in seen})
-        assert {frozenset(p) for p in seen} == {
-            frozenset(p) for p in combinations_with_replacement(moves, 2)}
+def test_one_pass_matches_ordered_pair_image():
+    sections = _sections(5)
+    assert len(sections) == 4990
+    for node in sections:
+        # TautExpr equality compares terms, not their order
+        assert tautring.mul_gamma_node(node) == ordered_pair_image(node), node

@@ -175,8 +175,8 @@ def test_drawn_integrals_have_the_base_change_weight(case):
 def _rebuild(gen):
     if isinstance(gen, tautring.DiagMonomial):
         return tautring.DiagMonomial(gen.m, gen.blocks)
-    return tautring.NodeClass(gen.m, gen.I, gen.split, gen.jblocks,
-                              gen.kblocks, gen.gamma_power)
+    return tautring.NodeClass(gen.m, gen.I, gen.split, *gen.sides,
+                              gen.gamma_power)
 
 
 def test_rewrite_output_equals_its_public_rebuild(monkeypatch):

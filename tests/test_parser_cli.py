@@ -601,11 +601,12 @@ class TestCliExitCodes:
         assert (code, out, err) == (0, "0\n", "")
 
     def test_unpaired_divisors_exit_cleanly(self):
-        code, out, err = run_cli(["integrate", "-m", "2",
-                                  "L(1)*M(2)*Delta<2>"])
-        assert (code, out) == (2, "")
-        assert err == ("error: no pairing registered for divisors"
-                       " 'L', 'M'\n")
+        # one missing pairing gets one message, whatever the slot order
+        for word in ("L(1)*M(2)*Delta<2>", "M(1)*L(2)*Delta<2>"):
+            code, out, err = run_cli(["integrate", "-m", "2", word])
+            assert (code, out) == (2, ""), word
+            assert err == ("error: no pairing registered for divisors"
+                           " 'L', 'M'\n"), word
 
 
 class TestOneSubcommandParser:
