@@ -34,9 +34,7 @@ level and reports error positions on the original text.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
 
 from .charpoly import CHARACTERS, CharacterPolynomial
 from .tautring import (
@@ -318,7 +316,7 @@ def parse(text: str, level: int):
     return _Parser(text, level).parse()
 
 
-# -- AST flattening ------------------------------------------------------
+# -- AST to words ---------------------------------------------------------
 
 
 def _seed(ast, m: int) -> TautExpr:
@@ -336,81 +334,44 @@ def _seed(ast, m: int) -> TautExpr:
 
 
 def to_words(ast, m: int):
-    """Flatten an AST into (coefficient, factor tuple) words.
+    """Expand an AST into (coefficient, word) pairs.
 
-    Distributes products over sums and expands powers, so each word is
-    a plain monomial the rewriting engine can evaluate.  A slot class
-    factor is ("class", slot, key), its key the name as written.
-    Factors commute, so the like words of a product are collected: a
-    word is its non-seed factors, sorted, then its seeds in their order
-    (a seed does not sort).  Coefficients are summed in first-seen
-    order, and a sum that cancels is kept, so the codimension checks
-    still see its word.
+    A word is a tuple of (factor, power) pairs: its non-seed factors,
+    sorted, each with its exponent, then its seeds as (("seed", expr),
+    1) in their order (a seed does not sort).  A slot class factor is
+    ("class", slot, key), its key the name as written.  Products are
+    distributed over sums and powers are taken by repeated squaring.
+    Factors commute, so the like words of a product are collected, their
+    coefficients summed in first-seen order; a sum that cancels is kept,
+    so the codimension checks still see its word.  A Delta<1> factor
+    kills every word it enters, so it gives no word at all.
 
-    A word past the dimension (codimension above m + 1) is never
-    expanded: it is refused, or a Delta<1> or Gamma<1> factor kills it.
-    So its codimension is read off its (factor, power) pairs, before
-    any flattening, and it comes out as a stand-in that keeps only what
-    those checks read: ("codim", n) for its other factors, its
-    level-one factors and its first two seeds (two seeds are refused
-    whatever the codimension, so then the codimension is left out).
-    The stand-ins of a product are collected by their level-one factors
-    and number of seeds: the first one seen, which the checks reach
-    first, stays.  The checks refuse or drop a stand-in and never read
-    its coefficient, so every stand-in carries 0 and none is multiplied
-    or summed.  So a power of a sum takes bounded work per step.
+    A word past the dimension (codimension above m + 1, a zero seed
+    counted as 0) or with two seeds is never expanded: it is killed, by
+    a Gamma<1> factor or a lone zero seed, or refused.  Its fate depends
+    only on whether it holds Gamma<1> and on which of its first two
+    seeds are zero, so it keeps its exponents and those two seeds, and
+    the words of a product that share a fate are collected into the
+    first one seen, which the checks reach first.  No check reads its
+    coefficient, so it carries 0 and is never multiplied or summed.  So
+    a power of a sum takes bounded work per step.
     """
-    return [(c, _factors(word)) for c, word in _words(ast, m)]
-
-
-_LEVEL_ONE = (("delta", 1), ("gamma", 1))
-
-
-# a word past the dimension: its codimension (seeds included), its
-# level-one factors and its first two seeds
-_Past = namedtuple("_Past", "codim level_one seeds")
-
-
-def _factors(word) -> tuple:
-    """The factor tuple of a word, or of a stand-in past the dimension."""
-    if isinstance(word, _Past):
-        if len(word.seeds) == 2:
-            return word.level_one + word.seeds
-        own = _seed_codim(word.seeds[0]) if word.seeds else 0
-        n = word.codim - len(word.level_one) - own
-        return (("codim", n),) + word.level_one + word.seeds
-    powers, seeds, _codim = word
-    return tuple(chain.from_iterable((f,) * n for f, n in powers)) + seeds
-
-
-def _seed_codim(seed) -> int:
-    return seed[1].codim() or 0
-
-
-def _as_past(word) -> _Past:
-    if isinstance(word, _Past):
-        return word
-    powers, seeds, codim = word
-    factors = {f for f, _ in powers}
-    return _Past(codim, tuple(f for f in _LEVEL_ONE if f in factors),
-                 seeds[:2])
+    return _words(ast, m)
 
 
 def _words(ast, m: int):
-    """to_words, each word kept as (sorted (factor, power) pairs, seeds,
-    codimension) or as a `_Past` stand-in."""
     kind = ast[0]
     if kind == "num":
-        return [(ast[1], ((), (), 0))]
+        return [(ast[1], ())]
     if kind == "char":
-        return [(CharacterPolynomial.symbol(ast[1]), ((), (), 0))]
+        return [(CharacterPolynomial.symbol(ast[1]), ())]
+    if ast == ("delta", 1):
+        return []
     if kind in ("gamma", "delta", "class"):
         factor = ("class", ast[2], ast[1]) if kind == "class" else ast
-        # an atom never passes the dimension: a TautExpr drops such terms
-        return [(1, (((factor, 1),), (), _factor_codim(factor, m)))]
+        return [(1, ((factor, 1),))]
     if kind in ("diag", "node"):
-        seed = ("seed", _seed(ast, m))
-        return [(1, ((), (seed,), _seed_codim(seed)))]
+        return [(1, ((("seed", _seed(ast, m)), 1),))]
     if kind == "neg":
         return [(-c, w) for c, w in _words(ast[1], m)]
     if kind == "add":
@@ -425,8 +386,9 @@ def _words(ast, m: int):
         # CharacterPolynomial.__pow__.  A product lists each like word
         # where its lexicographically first sequence of base words puts
         # it, however the n factors are grouped, so the words, their
-        # order and the stand-ins kept are those of n single products
-        out, square = [(1, ((), (), 0))], base
+        # order and the words kept past the dimension are those of n
+        # single products
+        out, square = [(1, ())], base
         while n:
             if n & 1:
                 out = _product(out, square, m)
@@ -440,42 +402,35 @@ def _words(ast, m: int):
 def _product(left, right, m: int):
     """The words of a product, like words collected in first-seen order.
 
-    A seed is keyed by its identity, one object per atom: a TautExpr
-    hash walks all its terms, at every step of a power of a seed.  A
-    stand-in past the dimension is keyed by its level-one factors and
-    number of seeds.
+    A seed is keyed by the identity of its factor, one object per atom:
+    a TautExpr hash walks all its terms, at every step of a power of a
+    seed.  A word past the dimension or with two seeds is keyed by its
+    fate (see `to_words`).
     """
     out = {}
     for c1, w1 in left:
         for c2, w2 in right:
-            if isinstance(w1, _Past) or isinstance(w2, _Past):
-                word = _past_product(w1, w2)
-            else:
-                powers = dict(w1[0])
-                for f, n in w2[0]:
+            codim, powers, seeds = 0, {}, ()
+            for f, n in w1 + w2:
+                if f[0] == "seed":
+                    codim += f[1].codim() or 0
+                    seeds += ((f, n),)
+                else:
+                    codim += n * _factor_codim(f, m)
                     powers[f] = powers.get(f, 0) + n
-                word = (tuple(sorted(powers.items())), w1[1] + w2[1],
-                        w1[2] + w2[2])
-                if word[2] > m + 1:
-                    word = _as_past(word)
-            if isinstance(word, _Past):
-                out.setdefault(("past", word.level_one, len(word.seeds)),
-                               (0, word))
+            word = tuple(sorted(powers.items()))
+            if codim > m + 1 or len(seeds) > 1:
+                fate = (("gamma", 1) in powers,
+                        tuple(f[1].is_zero() for f, _ in seeds[:2]))
+                out.setdefault(fate, (0, word + seeds[:2]))
                 continue
-            key = (word[0], tuple(id(seed) for _, seed in word[1]))
+            key = word + tuple(id(f) for f, _ in seeds)
+            word += seeds
             c = c1 * c2
             if key in out:
                 c, word = out[key][0] + c, out[key][1]
             out[key] = (c, word)
     return list(out.values())
-
-
-def _past_product(w1, w2) -> _Past:
-    p1, p2 = _as_past(w1), _as_past(w2)
-    both = p1.level_one + p2.level_one
-    return _Past(p1.codim + p2.codim,
-                 tuple(f for f in _LEVEL_ONE if f in both),
-                 (p1.seeds + p2.seeds)[:2])
 
 
 def evaluate_normal(text: str, m: int) -> TautExpr:

@@ -287,20 +287,6 @@ def vdm_det(m: int, i: int) -> QuotPoly:
     return QuotPoly._from_normal(m, _build("terms", m, i))
 
 
-def elementary_symmetric(m: int, k: int, variable: str) -> QuotPoly:
-    """e_k in the x- or y-variables at level m."""
-    if not 0 <= k <= m:
-        raise ValueError(f"symmetric degree {k} out of range")
-    offset = 0 if variable == "x" else m
-    terms = {}
-    for subset in combinations(range(m), k):
-        mono = [0] * (2 * m + 1)
-        for idx in subset:
-            mono[offset + idx] = 1
-        terms[tuple(mono)] = 1
-    return QuotPoly(m, terms)
-
-
 def check_chain(m: int, i: int) -> int:
     """Verify t^(m-i) * G_(i+1) = +- e_m(y) * G_i; returns the sign.
 

@@ -765,22 +765,24 @@ def _delta(k: int) -> dict:
     return {k: 1, k - 1: -1} if k >= 3 else {k: 1}
 
 
-def _expand(factors, m: int):
+def _expand(word, m: int):
     """Expand Delta and small-diagonal factors into merged Gamma words.
 
-    Returns ({sorted Gamma levels: int or Fraction}, classes, seed).  The
-    factors commute, so words with the same levels merge and words
-    that cancel are dropped.  The word has passed `_word_codim`: no
-    Delta^(1) factor, Delta indices in range, at most one seed.  The
-    small diagonal is (1/(m-1)!) prod_{k=2..m} Delta^(k).
+    The word's (factor, power) pairs are read in order, each factor taken
+    as many times as its power.  Returns ({sorted Gamma levels: int or
+    Fraction}, classes, seed).  The factors commute, so words with the
+    same levels merge and words that cancel are dropped.  The word has
+    passed `_word_codim`: no Delta^(1) factor, Delta indices in range,
+    at most one seed.  The small diagonal is (1/(m-1)!) prod_{k=2..m}
+    Delta^(k).
     """
     words = {(): 1}
     classes = []
     seed = None
-    for factor in factors:
+    for factor, n in word:
         kind = factor[0]
         if kind == "class":
-            classes.append(factor)
+            classes += [factor] * n
             continue
         if kind == "seed":
             seed = factor[1]
@@ -790,13 +792,12 @@ def _expand(factors, m: int):
         elif kind == "delta":
             steps = [_delta(factor[1])]
         elif kind == "smalldiag":
-            words = {w: Fraction(c, factorial(m - 1))
+            words = {w: Fraction(c, factorial(m - 1) ** n)
                      for w, c in words.items()}
             steps = [_delta(k) for k in range(2, m + 1)]
         else:
-            # a ("codim", n) stand-in only comes past the dimension
             raise ValueError(f"unknown factor {factor!r}")
-        for step in steps:
+        for step in steps * n:
             merged = {}
             for word, c in words.items():
                 for k, a in step.items():
@@ -833,8 +834,7 @@ def _eval_up(levels, classes, seed, m: int) -> TautExpr:
 
 
 def _factor_codim(factor, m: int) -> int:
-    """Codimension of one non-seed factor; ("codim", n) stands for
-    dropped factors of codimension n (see `exprparse.to_words`)."""
+    """Codimension of one non-seed factor."""
     kind = factor[0]
     if kind in ("gamma", "delta"):
         return 1
@@ -842,13 +842,12 @@ def _factor_codim(factor, m: int) -> int:
         return m - 1
     if kind == "class":
         return _key_degree(factor[2])
-    if kind == "codim":
-        return factor[1]
     raise ValueError(f"unknown factor {factor!r}")
 
 
-def _word_codim(factors, m: int):
-    """Codimension of a product word, read off its factors unexpanded.
+def _word_codim(word, m: int):
+    """Codimension of a word, read off its (factor, power) pairs
+    unexpanded: a factor of power n counts n times its own.
 
     Returns None when a Delta^(1) factor or a zero seed kills the word.
     Factors are read up to a Delta^(1), so an out-of-range Delta index or
@@ -856,7 +855,7 @@ def _word_codim(factors, m: int):
     """
     codim = 0
     seeds = []
-    for factor in factors:
+    for factor, n in word:
         kind = factor[0]
         if kind == "seed":
             seeds.append(factor[1])
@@ -867,7 +866,7 @@ def _word_codim(factors, m: int):
                 raise ValueError(f"diagonal index {k} outside level {m}")
             if k == 1:
                 return None
-        codim += _factor_codim(factor, m)
+        codim += n * _factor_codim(factor, m)
     if len(seeds) > 1:
         raise UnsupportedProductError(
             "products of two seeded classes are not supported")
@@ -876,7 +875,7 @@ def _word_codim(factors, m: int):
 
 
 def _merge_words(words, m: int, integral: bool) -> list:
-    """Expand every (coefficient, factors) word and merge the pieces.
+    """Expand every (coefficient, word) pair and merge the pieces.
 
     Returns (Gamma levels, classes, seed, coefficient) per distinct
     piece, with the zero coefficients dropped; classes are sorted
@@ -886,11 +885,11 @@ def _merge_words(words, m: int, integral: bool) -> list:
     is refused at once.  The merge lives for one call only.
     """
     merged = {}
-    for coeff, factors in words:
-        codim = _word_codim(factors, m)
+    for coeff, word in words:
+        codim = _word_codim(word, m)
         if codim is None:
             continue  # Delta^(1) or a zero seed vanishes
-        vanishes = ("gamma", 1) in factors  # so does Gamma^[1]
+        vanishes = any(f == ("gamma", 1) for f, _ in word)  # so does Gamma^[1]
         if integral:
             if vanishes:
                 continue
@@ -902,7 +901,7 @@ def _merge_words(words, m: int, integral: bool) -> list:
                 raise DimensionError("word exceeds the dimension of the level")
             if vanishes:
                 continue
-        expanded, classes, seed = _expand(factors, m)
+        expanded, classes, seed = _expand(word, m)
         if not integral and seed is not None and any(
                 k < seed.m for levels in expanded for k in levels):
             raise UnsupportedProductError(
@@ -918,7 +917,7 @@ def _merge_words(words, m: int, integral: bool) -> list:
 
 @shares_work
 def _integrate_words(words, m: int) -> CharacterPolynomial:
-    """Integral over W^m of a sum of (coefficient, factors) words.
+    """Integral over W^m of a sum of (coefficient, word) pairs.
 
     Each distinct merged piece is evaluated once: up to level m, then
     down, with the Gammas below a seed's level applied on the way down.
@@ -944,7 +943,7 @@ def _integrate_words(words, m: int) -> CharacterPolynomial:
 
 @shares_work
 def _normal_words(words, m: int) -> TautExpr:
-    """Normal form at level m of a sum of (coefficient, factors) words."""
+    """Normal form at level m of a sum of (coefficient, word) pairs."""
     out = TautExpr(m)
     for levels, classes, seed, coeff in _merge_words(words, m, False):
         _add_scaled(out, _eval_up(levels, classes, seed, m), coeff)
@@ -952,10 +951,10 @@ def _normal_words(words, m: int) -> TautExpr:
 
 
 def _with_seed(factors, seed):
-    factors = list(factors)
+    word = [(f, 1) for f in factors]
     if seed is not None:
-        factors.append(("seed", seed))
-    return [(1, factors)]
+        word.append((("seed", seed), 1))
+    return [(1, word)]
 
 
 def expand_monomial(factors, m: int,
@@ -988,9 +987,9 @@ def chern_taut(m: int) -> list:
     # (degree, sign, factors) for every way to pick one summand per slot
     picks = [(0, 1, ())]
     for i in range(1, m + 1):
-        opts = [(0, 1, ()), (1, 1, (("class", i, "L"),))]
+        opts = [(0, 1, ()), (1, 1, ((("class", i, "L"), 1),))]
         if i >= 2:
-            opts.append((1, -1, (("delta", i),)))
+            opts.append((1, -1, ((("delta", i), 1),)))
         picks = [(d + d2, s * s2, f + f2) for d, s, f in picks
                  for d2, s2, f2 in opts if d + d2 <= m + 1]
     words = [[] for _ in range(m + 2)]

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from tautcalc import polyoracle, staircase
 from tautcalc.polyoracle import QuotPoly, vdm_det
+from test_polyoracle import elementary_symmetric
 
 
 # -- the Fraction kernels -------------------------------------------------
@@ -306,7 +307,7 @@ def test_packed_product_matches_pairwise_reduction_at_any_exponent(args):
 
 def test_product_of_generators_matches_pairwise_reduction():
     for m in (2, 3, 4):
-        e = polyoracle.elementary_symmetric(m, m, "y")
+        e = elementary_symmetric(m, m, "y")
         for i in range(1, m + 1):
             g = vdm_det(m, i)
             assert (e * g).terms == pairwise_product(e, g)
@@ -350,7 +351,7 @@ def _product_sign(m, left, right, e):
 
 
 def test_packed_check_signs_match_quotient_products():
-    sym = polyoracle.elementary_symmetric
+    sym = elementary_symmetric
     for m in range(2, 6):
         g = {i: _reference(m, i) for i in range(1, m + 1)}
         for i in range(1, m):
@@ -375,7 +376,7 @@ def test_valuations_match_the_recursive_terms():
     for m in range(1, 6):
         slots = range(1, m + 1)
         # the valuation of e_m(y)^k * G_1^2 for k = i + j - 2
-        e_y = polyoracle.elementary_symmetric(m, m, "y")
+        e_y = elementary_symmetric(m, m, "y")
         value = _reference(m, 1) * _reference(m, 1)
         want = []
         for _ in range(2 * m - 1):

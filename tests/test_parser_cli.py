@@ -12,6 +12,8 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautcalc import (cli, paperchecks, polyoracle, schubert, staircase,
                       tautring)
@@ -103,13 +105,23 @@ class TestLikeWords:
         assert len(words) == k + 1
 
     def test_words_past_the_dimension_collapse(self):
-        # the 13 splits of codimension 12 > 4 leave one stand-in, whose
-        # coefficient no check reads, so it carries 0
+        # the 13 splits of codimension 12 > 4 leave one word, the first
+        # seen, with its exponents; no check reads its coefficient, so
+        # it carries 0
         [(c, word)] = to_words(parse("(Delta<2>+Delta<3>)^12", 3), 3)
-        assert (c, type(c), word) == (0, int, (("codim", 12),))
+        assert (c, type(c), word) == (0, int, ((("delta", 2), 12),))
+        # one word per fate: Gamma<1> kills an integral's word
         words = to_words(parse("(1+Delta<2>+Gamma<1>)^40", 3), 3)
-        past = [w for c, w in words if w and w[0][0] == "codim"]
-        assert past == [(("codim", 5),), (("codim", 4), ("gamma", 1))]
+        past = [w for c, w in words if sum(n for _, n in w) > 4]
+        assert past == [((("delta", 2), 5),),
+                        ((("delta", 2), 4), (("gamma", 1), 1))]
+        # and a lone zero seed kills its word, a nonzero one does not:
+        # q[{1},{2}](pt,pt) has codimension 4 > 3, so its TautExpr is 0
+        words = to_words(parse("(q[{1},{2}](pt,pt) + q[{1,2}](1))"
+                               "*Delta<2>^5", 2), 2)
+        assert [(c, [(f[0], n) for f, n in w]) for c, w in words] == [
+            (0, [("delta", 5), ("seed", 1)])] * 2
+        assert [w[1][0][1].is_zero() for _, w in words] == [True, False]
 
     def test_power_past_the_dimension_is_never_flattened(self):
         ast = parse("Delta<3>^2000000", 3)
@@ -119,16 +131,16 @@ class TestLikeWords:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert words[0][1] == (("codim", 2000000),)
+        assert words == [(0, ((("delta", 3), 2000000),))]
         assert peak < 100_000
 
     def test_seeds_follow_the_sorted_factors(self):
         words = to_words(parse("(NS(13:)+Delta<2>)^2", 3), 3)
-        kinds = [tuple(f[0] for f in word) for _, word in words]
-        assert kinds == [("seed", "seed"), ("delta", "seed"),
-                         ("delta", "delta")]
-        # two seeds make a stand-in, which carries 0; a coefficient
-        # with no character is a plain int
+        kinds = [tuple((f[0], n) for f, n in word) for _, word in words]
+        assert kinds == [(("seed", 1), ("seed", 1)),
+                         (("delta", 1), ("seed", 1)), (("delta", 2),)]
+        # a word with two seeds is refused, so it carries 0; a
+        # coefficient with no character is a plain int
         assert [(c, type(c)) for c, _ in words] == [(0, int), (2, int),
                                                     (1, int)]
 
@@ -163,6 +175,66 @@ class TestLikeWords:
                                   "(L(1)-L(1))*Delta<3>^4"])
         assert (code, out) == (2, "")
         assert err == "error: word exceeds the dimension of the level\n"
+
+
+# atoms of the summand-order property: each level's seeds come first,
+# its zero seed (a q[...] past the dimension, whose TautExpr is empty)
+# leading; a seed kills a word on its own and is refused beside a second
+_ORDER_ATOMS = {
+    2: ["q[{1},{2}](pt,pt)", "q[{1,2}](1)", "F(12:)", "NS(12:)",
+        "Delta<1>", "Gamma<1>", "Delta<2>", "Gamma<2>", "L(1)",
+        "omega(2)", "pt(1)", "sigma", "2", "Delta<2>^5", "Gamma<1>^4",
+        "L(2)^3"],
+    3: ["q[{1},{2},{3}](pt,pt,pt)", "q[{1},{2}](pt,pt)", "q[{1,3}](L)",
+        "F(13:)", "NS(13:)", "Delta<1>", "Gamma<1>", "Delta<3>",
+        "Gamma<2>", "L(3)", "omega(1)", "pt(2)", "dL", "1/3",
+        "Delta<3>^6", "Gamma<1>^5", "(Delta<2>+L(1))^7"],
+}
+
+
+@st.composite
+def _order_case(draw):
+    m = draw(st.sampled_from([2, 3]))
+    atoms = _ORDER_ATOMS[m]
+    # a seed in half the parts, so that zero and nonzero seeds meet
+    atom = st.one_of(st.sampled_from(atoms[:4 if m == 2 else 5]),
+                     st.sampled_from(atoms))
+    monomial = st.lists(atom, min_size=1, max_size=2).map("*".join)
+    summand = st.tuples(monomial, st.sampled_from([" + ", " - "]),
+                        monomial).map("".join)
+    part = st.one_of(monomial, summand)
+    return m, draw(part), draw(part), draw(monomial)
+
+
+class TestSummandOrder:
+    # the words of a product past the dimension are collected by fate,
+    # and a lone zero seed kills its word where a nonzero seed does not
+    ZERO_SEED_FORMS = [
+        "(q[{1},{2}](pt,pt) + q[{1,2}](1))*Delta<2>^5",
+        "(q[{1,2}](1) + q[{1},{2}](pt,pt))*Delta<2>^5",
+        "q[{1},{2}](pt,pt)*Delta<2>^5 + q[{1,2}](1)*Delta<2>^5",
+    ]
+
+    @pytest.mark.parametrize("command,err", [
+        ("normalize", "error: word exceeds the dimension of the level\n"),
+        ("integrate", "error: word has codimension 6, integration needs 3\n"),
+    ])
+    def test_a_zero_seed_hides_no_refused_word(self, command, err):
+        for text in self.ZERO_SEED_FORMS:
+            assert run_cli([command, "-m", "2", text]) == (2, "", err)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_order_case(), st.sampled_from(["normalize", "integrate"]))
+    def test_summand_order_never_changes_the_result(self, case, command):
+        # the message may differ: the first failing word depends on order
+        m, a, b, p = case
+        results = [run_cli([command, "-m", str(m), text]) for text in (
+            f"({a} + {b})*{p}", f"({b} + {a})*{p}",
+            f"({a})*{p} + ({b})*{p}")]
+        assert len({code for code, _, _ in results}) == 1
+        if results[0][0] == 0:
+            assert len({out for _, out, _ in results}) == 1
 
 
 class TestParseErrors:

@@ -14,13 +14,27 @@ from tautcalc.polyoracle import (
     check_chain,
     check_syzygy,
     derived_eta_exponent,
-    elementary_symmetric,
     eta_valuation,
     ord_table,
     printed_eta_exponent,
     printed_ord_formula,
     vdm_det,
 )
+
+
+def elementary_symmetric(m: int, k: int, variable: str) -> QuotPoly:
+    """e_k in the x- or y-variables at level m: the reference symmetric
+    functions the syzygy checks multiply by."""
+    if not 0 <= k <= m:
+        raise ValueError(f"symmetric degree {k} out of range")
+    offset = 0 if variable == "x" else m
+    terms = {}
+    for subset in combinations(range(m), k):
+        mono = [0] * (2 * m + 1)
+        for idx in subset:
+            mono[offset + idx] = 1
+        terms[tuple(mono)] = 1
+    return QuotPoly(m, terms)
 
 
 def derived_ord_formula(m: int, j: int, size: int) -> int:

@@ -436,6 +436,11 @@ def seeded_sums(m, count, degree, seed):
     return out
 
 
+def flat(word):
+    """The flat factor list of a parser word's (factor, power) pairs."""
+    return [f for f, n in word for _ in range(n)]
+
+
 class TestMergedEvaluation:
     """An expression's words are merged before evaluation; the value is
     the sum of the words evaluated one by one."""
@@ -449,14 +454,14 @@ class TestMergedEvaluation:
     def test_integral_is_the_sum_over_words(self, text, m):
         want = CP.zero()
         for coeff, word in to_words(parse(text, m), m):
-            want = want + coeff * integrate_word(list(word), m)
+            want = want + coeff * integrate_word(flat(word), m)
         assert evaluate_integral(text, m) == want
 
     @pytest.mark.parametrize("text,m", [(t, 2) for t in seeded_sums(2, 10, 2, 13)]
                              + [(t, 3) for t in seeded_sums(3, 10, 3, 14)]
                              + [("sigma + 2*Delta<2> - L(1)", 2)])
     def test_normal_form_is_the_sum_over_words(self, text, m):
-        want = scaled_sum(m, [(coeff, expand_monomial(list(word), m))
+        want = scaled_sum(m, [(coeff, expand_monomial(flat(word), m))
                               for coeff, word in to_words(parse(text, m), m)])
         assert evaluate_normal(text, m) == want
 
