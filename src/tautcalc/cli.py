@@ -18,6 +18,7 @@ unsupported-product error, 3 verify-paper mismatch.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from operator import attrgetter
@@ -31,9 +32,21 @@ class _UsageError(Exception):
     pass
 
 
+# what argparse may read as an option: one or two dashes, a name and an
+# optional "=value"
+_OPTION_SHAPE = re.compile(r"--?[A-Za-z][\w-]*(=.*)?", re.DOTALL)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # an argument with a leading "-" that cannot name an option, such
+        # as the expression "-Delta<3>^2", is positional, as after "--"
+        if arg_string[:1] == "-" and not _OPTION_SHAPE.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _rational(text: str) -> Fraction:

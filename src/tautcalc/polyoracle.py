@@ -46,11 +46,12 @@ the terms, with no cancellation to look for:
 Either way the order is the least t-exponent over the terms.
 
 Inside a shared-work scope (`tautcalc.shares_work`, opened by every
-`taut-calc` command) each view of each generator G_i, and G_1^2, is
-built once for the checks and valuations.  `ord_table` opens one for
-its own call when none is open, so it builds each G_j once; called
-directly, every other function builds its generators afresh, and
-`vdm_det` always does, so its caller owns the terms it gets.
+`taut-calc` command) each view of each generator G_i, and the decoded
+vectors of G_1^2, are built once for the checks and valuations.
+`ord_table` opens one for its own call when none is open, so it builds
+each G_j once; called directly, every other function builds its
+generators afresh, and `vdm_det` always does, so its caller owns the
+terms it gets.
 """
 from __future__ import annotations
 
@@ -198,24 +199,28 @@ def _packed_product(p: dict, q: dict) -> dict[int, Coeff]:
     return {k: c for k, c in out.items() if c}
 
 
-def _vector(key: int, m: int, width: int) -> list[int]:
-    """The vector [a_1 - b_1, ..., a_m - b_m, |b| + e] a packed key holds."""
+def _vectors(keys, m: int, width: int):
+    """The vector [a_1 - b_1, ..., a_m - b_m, |b| + e] of each packed key.
+
+    Adding half a field's range to every slot field makes each one a
+    plain unsigned digit, so a field is read by one shift and one mask.
+    """
     half = 1 << (width - 1)
     mask = (1 << width) - 1
-    vector = []
-    for _ in range(m):
-        d = ((key + half) & mask) - half
-        key = (key - d) >> width
-        vector.append(d)
-    vector.append(key)
-    return vector
+    offset = sum(half << (width * k) for k in range(m))
+    shifts = [width * k for k in range(m)]
+    top = width * m
+    for key in keys:
+        key += offset
+        vector = [(key >> shift & mask) - half for shift in shifts]
+        vector.append(key >> top)
+        yield vector
 
 
 def _unpack(m: int, packed: dict, width: int) -> dict[tuple, Coeff]:
     """The terms of a packed element, keyed by reduced monomials."""
     terms = {}
-    for key, c in packed.items():
-        *d, s = _vector(key, m, width)
+    for (*d, s), c in zip(_vectors(packed, m, width), packed.values()):
         b = [-x if x < 0 else 0 for x in d]
         terms[tuple([x if x > 0 else 0 for x in d] + b + [s - sum(b)])] = c
     return terms
@@ -404,7 +409,8 @@ def eta_valuation(m: int, i: int, j: int) -> int:
     t-exponent is s + sum_l min(d_l, k).  Multiplying by a monomial
     cancels no term (see the module docstring), so the valuation is the
     least of these exponents over the terms of G_1^2.  The square is
-    kept packed, and each key's vector is read with no monomial built.
+    taken packed, and each key's vector is read with no monomial built,
+    once per shared-work scope.
     """
     if not (1 <= i <= m and 1 <= j <= m):
         raise ValueError(f"indices ({i}, {j}) out of range for level {m}")
@@ -412,11 +418,11 @@ def eta_valuation(m: int, i: int, j: int) -> int:
     square = squares.get(m)
     if square is None:
         packed = _view("packed", m, 1)
-        square = squares[m] = (_width(2 * m), _packed_product(packed, packed))
-    width, terms = square
+        product = _packed_product(packed, packed)
+        square = squares[m] = [(s, d) for *d, s in
+                               _vectors(product, m, _width(2 * m))]
     k = i + j - 2
-    return min(s + sum(d if d < k else k for d in vector)
-               for *vector, s in (_vector(key, m, width) for key in terms))
+    return min(s + sum(x if x < k else k for x in d) for s, d in square)
 
 
 def derived_eta_exponent(m: int, i: int, j: int) -> int:

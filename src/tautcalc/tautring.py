@@ -51,11 +51,19 @@ Work is shared within one call or one command, never across them.  The
 word evaluators behind `integrate_word` and `expand_monomial`, and
 `chern_taut`, open a scope when none is open (`tautcalc.shares_work`);
 `taut-calc` opens one around each command.  While it is open, `mul_gamma`
-looks up a generator's Gamma image, the up pass a generator's image
-under a slot class, and the integral evaluator a seedless piece's
-integral (the piece table, keyed by Gamma levels, slot classes and
-level), before computing it.  The scope closes with the call
-that opened it; with none open every function computes afresh.
+looks up a generator's Gamma image, the class pass a generator's image
+under a slot class, and the up pass a sorted Gamma word times 1 at a
+level (the prefix table, keyed by Gamma levels and level; each entry is
+built from its longest prefix), before computing it.  The scope closes
+with the call that opened it; with none open every function computes
+afresh.
+
+A sum of words expands into Gamma pieces.  The seedless pieces are
+summed by their slot classes before they are finished, so each class
+group is multiplied by its classes once and integrated (or added to
+the normal form) once, on terms that have already cancelled.  A seeded
+piece is finished on its own, its Gammas below the seed's level applied
+on the way down.
 """
 
 from __future__ import annotations
@@ -807,23 +815,48 @@ def _expand(word, m: int):
     return words, classes, seed
 
 
-def _eval_up(levels, classes, seed, m: int) -> TautExpr:
-    """Up pass: from the seed's level, or the lowest Gamma, up to level m.
+def _up(levels, k: int) -> TautExpr:
+    """The sorted Gamma word `levels` times 1 at level k.
+
+    Built from its longest prefix: the last Gamma applied when it sits
+    at level k, a pullback from level k - 1 otherwise, and the unit for
+    the empty word.  Every prefix is looked up in the open scope's
+    prefix table, keyed by (levels, k), before it is climbed, so words
+    that share a prefix climb it once.
+    """
+    table = shared_table("prefix")
+    expr = table.get((levels, k))
+    if expr is None:
+        if not levels:
+            expr = unit(k)
+        elif levels[-1] == k:
+            expr = mul_gamma(_up(levels[:-1], k))
+        else:
+            expr = pullback(_up(levels, k - 1))
+        table[levels, k] = expr
+    return expr
+
+
+def _seeded_up(levels, seed: TautExpr, m: int) -> TautExpr:
+    """Up pass from the seed's level to level m.
 
     The Gammas at each level are applied before pulling back; Gammas
-    below a seed's level are left for the down pass.  The slot classes,
-    (slot, key) pairs, are multiplied in at the top.
+    below the seed's level are left for the down pass.
     """
-    start = seed.m if seed is not None else min(levels, default=m)
-    expr = seed if seed is not None else unit(start)
-    for k in range(start, m + 1):
+    expr = seed
+    for k in range(seed.m, m + 1):
         for _ in range(levels.count(k)):
             expr = mul_gamma(expr)
         if k < m:
             expr = pullback(expr)
+    return expr
+
+
+def _with_classes(expr: TautExpr, classes) -> TautExpr:
+    """expr times the slot classes, (slot, key) pairs, one at a time."""
     images = shared_table("class")
     for slot, key in classes:
-        nxt = TautExpr(m)
+        nxt = TautExpr(expr.m)
         for gen, c in expr.terms.items():
             piece = images.get((gen, slot, key))
             if piece is None:
@@ -850,8 +883,9 @@ def _word_codim(word, m: int):
     unexpanded: a factor of power n counts n times its own.
 
     Returns None when a Delta^(1) factor or a zero seed kills the word.
-    Factors are read up to a Delta^(1), so an out-of-range Delta index or
-    an unknown factor before it is still an error; two seeds are refused.
+    Factors are read up to a Delta^(1), so an out-of-range Gamma or Delta
+    index or an unknown factor before it is still an error; two seeds
+    are refused.
     """
     codim = 0
     seeds = []
@@ -860,6 +894,8 @@ def _word_codim(word, m: int):
         if kind == "seed":
             seeds.append(factor[1])
             continue
+        if kind == "gamma" and not 1 <= factor[1] <= m:
+            raise ValueError(f"Gamma index {factor[1]} outside level {m}")
         if kind == "delta":
             k = factor[1]
             if k < 1 or k > m:
@@ -915,38 +951,53 @@ def _merge_words(words, m: int, integral: bool) -> list:
             for (levels, classes, seed), c in merged.items() if c]
 
 
+def _summed(group, m: int) -> TautExpr:
+    """The sum of coefficient times climbed Gamma word over the
+    (coefficient, word) pairs of one class group."""
+    expr = TautExpr(m)
+    for coeff, word in group:
+        _add_scaled(expr, word, coeff)
+    return expr
+
+
 @shares_work
 def _integrate_words(words, m: int) -> CharacterPolynomial:
     """Integral over W^m of a sum of (coefficient, word) pairs.
 
-    Each distinct merged piece is evaluated once: up to level m, then
-    down, with the Gammas below a seed's level applied on the way down.
-    A seedless piece's integral is looked up in the open scope's piece
-    table first; a seeded one is not, because a TautExpr hash walks all
-    its terms.
+    A seeded piece is evaluated on its own: up to level m, then down,
+    with the Gammas below the seed's level applied on the way down.
+    The seedless pieces are summed by slot classes, and each class
+    group is multiplied by its classes and integrated once.
     """
-    pieces = shared_table("piece")
     total = CharacterPolynomial.zero()
+    groups = {}
     for levels, classes, seed, coeff in _merge_words(words, m, True):
         if seed is None:
-            value = pieces.get((levels, classes, m))
-            if value is None:
-                value = pieces[levels, classes, m] = integrate(
-                    _eval_up(levels, classes, None, m))
-        else:
-            expr = _eval_up(levels, classes, seed, m)
-            lower = [k for k in levels if k < seed.m]
-            value = _push_down(expr, lower) if lower else integrate(expr)
+            groups.setdefault(classes, []).append((coeff, _up(levels, m)))
+            continue
+        expr = _with_classes(_seeded_up(levels, seed, m), classes)
+        lower = [k for k in levels if k < seed.m]
+        value = _push_down(expr, lower) if lower else integrate(expr)
         total = total + coeff * value
+    for classes, group in groups.items():
+        total = total + integrate(_with_classes(_summed(group, m), classes))
     return total
 
 
 @shares_work
 def _normal_words(words, m: int) -> TautExpr:
-    """Normal form at level m of a sum of (coefficient, word) pairs."""
+    """Normal form at level m of a sum of (coefficient, word) pairs,
+    the seedless pieces summed by slot classes as in `_integrate_words`."""
     out = TautExpr(m)
+    groups = {}
     for levels, classes, seed, coeff in _merge_words(words, m, False):
-        _add_scaled(out, _eval_up(levels, classes, seed, m), coeff)
+        if seed is None:
+            groups.setdefault(classes, []).append((coeff, _up(levels, m)))
+            continue
+        _add_scaled(out, _with_classes(_seeded_up(levels, seed, m), classes),
+                    coeff)
+    for classes, group in groups.items():
+        _add_scaled(out, _with_classes(_summed(group, m), classes), 1)
     return out
 
 

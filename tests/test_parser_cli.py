@@ -467,6 +467,48 @@ class TestCliCharsFile:
         assert err.startswith("error:")
 
 
+class TestLeadingMinus:
+    """An expression may start with a unary minus, with or without "--"."""
+
+    @pytest.mark.parametrize("argv, expr", [
+        (["normalize", "-m", "3"], "-Delta<3>^2"),
+        (["normalize", "-m3"], "-2*Delta<3>^2"),
+        (["integrate", "-m", "3"], "-Delta<3>^4"),
+        (["integrate", "--format", "kv", "-m", "3"], "-(Delta<3>^4)"),
+    ])
+    def test_same_output_as_after_a_double_dash(self, argv, expr):
+        want = run_cli(argv + ["--", expr])
+        assert want[0] == 0 and want[2] == ""
+        assert run_cli(argv + [expr]) == want
+        assert run_cli([argv[0], expr] + argv[1:]) == want
+
+    def test_with_a_character_file(self, tmp_path):
+        chars = tmp_path / "chars.txt"
+        chars.write_text("sigma = 1\nomega2 = 2\n")
+        assert run_cli(["integrate", "-m", "3", "-Delta<3>^4", "--chars",
+                        str(chars)]) == (0, "-26\n", "")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["normalize", "-m", "3", "--bogus", "-Delta<3>^2"],
+         "error: unrecognized arguments: --bogus\n"),
+        (["normalize", "-m", "3", "-x"],
+         "error: the following arguments are required: expr\n"),
+        (["integrate", "-Delta<3>^4"],
+         "error: the following arguments are required: -m/--level\n"),
+        (["integrate", "-m", "3", "-Delta<3>^4", "--chars"],
+         "error: argument --chars: expected one argument\n"),
+    ])
+    def test_options_are_still_read_as_options(self, argv, err):
+        assert run_cli(argv) == (1, "", err)
+
+    def test_help_is_still_read_as_help(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(["normalize", "-h", "-Delta<3>^2"])
+        assert exc.value.code == 0
+        assert out.getvalue().startswith("usage: taut-calc normalize")
+
+
 class TestCliExitCodes:
     @pytest.mark.parametrize("argv", [
         ["integrate", "-m", "3", "Gamma<4>"],

@@ -53,8 +53,9 @@ def _testbed() -> str:
 
 def test_every_example_is_found():
     commands = [command for command, _ in examples()]
-    assert len(commands) == 7
+    assert len(commands) == 8
     assert "nsec3 --chars testbed.cfg" in commands
+    assert 'integrate -m 3 "-Delta<3>^4"' in commands
 
 
 @pytest.mark.parametrize("command, printed", examples(),

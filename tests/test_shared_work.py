@@ -2,8 +2,9 @@
 
 A scope opened by a library entry point or by `cli.main` holds the
 Gamma images, the class images, the Vandermonde generators, the beta
-colengths and the seedless piece integrals computed inside it, and
-closes when that call returns.
+colengths and the climbed Gamma-word prefixes computed inside it, and
+closes when that call returns.  A sum of words is finished once per
+slot-class group, and equals the sum of its words finished alone.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ import io
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tautcalc
 from tautcalc import cli, polyoracle, staircase, tautring
+from tautcalc.charpoly import CharacterPolynomial
 from tautcalc.exprparse import evaluate_integral, evaluate_normal
 from tautcalc.schubert import nsec3_terms
-from test_golden import DATA, cases, line
+from test_golden import DATA, PT_ON_A_SIDE, cases, line, weights
 
 
 def _run_cli(argv):
@@ -28,7 +32,8 @@ def _run_cli(argv):
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Count the Gamma images and generator views actually computed."""
+    """Count the Gamma images, generator views and G_1^2 decodings
+    actually computed."""
     counts = Counter()
 
     def counting(module, name, key):
@@ -44,6 +49,8 @@ def computed(monkeypatch):
     counting(polyoracle, "_build", lambda view, m, i: ("vdm", view, m, i))
     counting(staircase, "_beta_single",
              lambda m, j, eta: ("beta", m, j, eta))
+    counting(polyoracle, "_vectors",
+             lambda keys, m, width: ("decode", m))
     return counts
 
 
@@ -52,7 +59,8 @@ def computed(monkeypatch):
                                         (["verify-paper"], "beta"),
                                         (["vdm-check"], "vdm"),
                                         (["nsec3"], "gamma"),
-                                        (["chern", "-m", "3"], "gamma")])
+                                        (["chern", "-m", "3"], "gamma"),
+                                        (["verify-paper"], "decode")])
 def test_one_command_computes_each_image_once(argv, kind, computed):
     assert _run_cli(argv) == 0
     mine = {key: n for key, n in computed.items() if key[0] == kind}
@@ -98,6 +106,7 @@ def test_direct_calls_share_nothing(computed):
     assert computed[("vdm", "packed", 3, 2)] == 2
     assert computed[("vdm", "packed", 3, 3)] == 2
     assert computed[("vdm", "packed", 3, 1)] == 2
+    assert computed[("decode", 3)] == 2
     expr = tautring.unit(2)
     tautring.mul_gamma(expr)
     tautring.mul_gamma(expr)
@@ -132,33 +141,38 @@ def test_golden_renders_twice_in_one_scope():
 
 
 @pytest.fixture
-def pieces(monkeypatch):
-    """Count the seedless pieces evaluated, by (levels, classes, m)."""
+def climbs(monkeypatch):
+    """Count the Gamma-word prefixes climbed, by (levels, k): a call of
+    `_up` whose key the open scope's prefix table does not hold yet."""
     counts = Counter()
-    original = tautring._eval_up
+    original = tautring._up
 
-    def counting(levels, classes, seed, m):
-        if seed is None:
-            counts[levels, classes, m] += 1
-        return original(levels, classes, seed, m)
+    def counting(levels, k):
+        if (levels, k) not in tautcalc.shared_table("prefix"):
+            counts[levels, k] += 1
+        return original(levels, k)
 
-    monkeypatch.setattr(tautring, "_eval_up", counting)
+    monkeypatch.setattr(tautring, "_up", counting)
     return counts
 
 
-def test_one_nsec3_integrates_each_piece_once(pieces):
-    # the ten nsec3 integrals merge into 111 pieces, 65 of them distinct
+def test_one_nsec3_climbs_each_prefix_once(climbs):
+    # the ten nsec3 integrals at level 3 climb every word of at most four
+    # Gammas: the 15 over levels 2 and 3 at level 3, and the 5 over level
+    # 2 at level 2, on the way up
     assert _run_cli(["nsec3"]) == 0
-    assert len(pieces) == 65 and set(pieces.values()) == {1}
+    assert set(climbs.values()) == {1}
+    assert sorted(Counter(k for _levels, k in climbs).items()) == [(2, 5),
+                                                                    (3, 15)]
 
 
-def test_direct_integrals_share_no_piece(pieces):
+def test_direct_integrals_share_no_prefix(climbs):
     first = evaluate_integral("Delta<3>^4", 3)
     assert evaluate_integral("Delta<3>^4", 3) == first
-    assert pieces and set(pieces.values()) == {2}
+    assert climbs and set(climbs.values()) == {2}
 
 
-def test_pieces_are_keyed_by_their_classes_and_level():
+def test_prefixes_are_keyed_by_levels_only():
     # the same Gamma levels under different slot classes, at two levels
     texts = [("L(1)*Delta<2>^2", 2), ("omega(1)*Delta<2>^2", 2),
              ("L(1)*Delta<2>^2*Delta<3>", 3),
@@ -166,13 +180,60 @@ def test_pieces_are_keyed_by_their_classes_and_level():
     alone = [evaluate_integral(text, m) for text, m in texts]
 
     @tautcalc.shares_work
-    def together():
+    def together(texts):
         values = [evaluate_integral(text, m) for text, m in texts]
-        return values, tautcalc.shared_table("piece")
+        return values, set(tautcalc.shared_table("prefix"))
 
-    values, table = together()
+    values, keys = together(texts)
     assert values == alone
     assert len(set(alone[:2])) == 2
-    assert {(classes, m) for _levels, classes, m in table} == {
-        (((1, "L"),), 2), (((1, "omega"),), 2),
-        (((1, "L"),), 3), (((3, "omega"),), 3)}
+    # the omega words climb only what the L words climbed
+    assert keys == together(texts[::2])[1]
+    assert all(isinstance(k, int) and all(isinstance(x, int) for x in levels)
+               for levels, k in keys)
+    assert {k for _levels, k in keys} == {2, 3}
+
+
+@st.composite
+def class_groups(draw):
+    """A level m = 2..4, a degree and 2-4 (weight, word) summands of that
+    degree, each word one of at most two class lists times Delta<k>s, so
+    that several summands fall into one class group."""
+    m = draw(st.integers(2, 4))
+    degree = draw(st.integers(1, m + 1))
+    classes = st.sampled_from([f"{key}({i})" for key in ("L", "omega", "f")
+                               for i in range(1, m + 1)])
+    shared = draw(st.lists(st.lists(classes, max_size=degree),
+                           min_size=1, max_size=2))
+    deltas = st.sampled_from([f"Delta<{k}>" for k in range(2, m + 1)])
+    summands = []
+    for _ in range(draw(st.integers(2, 4))):
+        word = draw(st.sampled_from(shared))
+        rest = degree - len(word)
+        word = word + draw(st.lists(deltas, min_size=rest, max_size=rest))
+        summands.append((draw(weights), "*".join(word)))
+    return m, degree, summands
+
+
+def _alone(evaluate, word, m):
+    try:
+        return evaluate(word, m)
+    except ValueError as exc:
+        assume(not (m == 4 and str(exc) == PT_ON_A_SIDE))
+        raise
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(class_groups())
+def test_summed_class_groups_equal_the_sum_of_their_words(case):
+    m, degree, summands = case
+    text = " + ".join(f"({c})*{word}" for c, word in summands)
+    want = tautring.TautExpr(m)
+    for c, word in summands:
+        for gen, coeff in _alone(evaluate_normal, word, m).terms.items():
+            want.add(gen, c * coeff)
+    assert evaluate_normal(text, m) == want
+    if degree == m + 1:
+        total = sum((c * _alone(evaluate_integral, word, m)
+                     for c, word in summands), CharacterPolynomial.zero())
+        assert evaluate_integral(text, m) == total

@@ -407,6 +407,15 @@ class TestSingleExpansion:
         with pytest.raises(ValueError):
             integrate_word([D(4), D(1)], 3)
 
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_gamma_index_outside_the_level_refused(self, k):
+        # the parser refuses these first; the word API does as well
+        message = rf"^Gamma index {k} outside level 3$"
+        with pytest.raises(ValueError, match=message):
+            integrate_word([G(3)] * 3 + [G(k)], 3)
+        with pytest.raises(ValueError, match=message):
+            expand_monomial([G(k)], 3)
+
     def test_codimension_is_checked_before_expanding(self, monkeypatch):
         def no_expand(*_args):
             raise AssertionError("_expand called")
