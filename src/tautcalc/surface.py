@@ -7,13 +7,18 @@ reducible fibre; the surface has no other kind), `omega2`, `omegaL`,
 components.  A slot class is named by its block key (see `tautring`):
 "omega", "L" and "f" are the divisors the surface pairs, "pt" the
 point class.  A divisor of any other name has no pairing and no fibre
-degree, so a normal form may carry it but an integral of it is refused.
+degree.  A normal form may carry it; an integral is refused (`KeyError`)
+only when one of its pieces reaches the missing pairing or fibre
+degree.  A piece that an integral skips by the grading (see `tautring`)
+reaches neither: at level 3, `M(1)*L(1)*Delta<2>^2` and
+`M(1)*L(2)*Delta<2>^2` integrate to 0, while `M(1)*Delta<3>^3` is
+refused.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .charpoly import CharacterPolynomial, Rational, symbol
+from .charpoly import CHARACTERS, CharacterPolynomial, Rational, symbol
 
 
 class SurfaceGeometry:
@@ -54,13 +59,14 @@ GEOMETRY = SurfaceGeometry()
 
 
 def parse_character_config(text: str) -> dict[str, Rational]:
-    """Parse `key = value` assignments for the six standard characters.
+    """Parse `key = value` assignments for the characters of the
+    surface, `charpoly.CHARACTERS`: the six pairing characters and the
+    side degrees `g2J`, `g2K`.
 
     Values are rationals; the literal `sym` leaves a character symbolic
     (the key is simply skipped).  Unknown keys, and a key assigned on two
     lines, are rejected.
     """
-    allowed = {"sigma", "omega2", "omegaL", "L2", "dL", "g2"}
     out: dict[str, Rational] = {}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -71,7 +77,7 @@ def parse_character_config(text: str) -> dict[str, Rational]:
             raise ValueError(f"line {lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in allowed:
+        if key not in CHARACTERS:
             raise ValueError(f"line {lineno}: unknown character {key!r}")
         if key in seen:
             raise ValueError(f"line {lineno}: character {key!r} assigned twice")

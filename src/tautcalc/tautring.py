@@ -64,6 +64,13 @@ group is multiplied by its classes once and integrated (or added to
 the normal form) once, on terms that have already cancelled.  A seeded
 piece is finished on its own, its Gammas below the seed's level applied
 on the way down.
+
+An integral skips, before any climb, every seedless piece that is
+pulled back past a dimension.  Gamma^[j] for j <= k and a class on a
+slot <= k are pulled back from W^k, of dimension k + 1; when, for some
+k < m, those factors of a piece have codimension above k + 1, their
+product is the pullback of a class of W^k past its dimension, which is
+zero, so the piece integrates to 0.
 """
 
 from __future__ import annotations
@@ -960,20 +967,43 @@ def _summed(group, m: int) -> TautExpr:
     return expr
 
 
+def _past_a_dimension(levels, classes, m: int) -> bool:
+    """Whether a seedless piece is pulled back past a dimension: for
+    some k < m, its Gamma^[j] with j <= k and its classes on slots <= k
+    have codimension above k + 1 = dim W^k (see `_integrate_words`)."""
+    codim = [0] * (m + 1)
+    for j in levels:
+        codim[j] += 1
+    for slot, key in classes:
+        codim[slot] += _key_degree(key)
+    below = 0
+    for k in range(1, m):
+        below += codim[k]
+        if below > k + 1:
+            return True
+    return False
+
+
 @shares_work
 def _integrate_words(words, m: int) -> CharacterPolynomial:
     """Integral over W^m of a sum of (coefficient, word) pairs.
 
     A seeded piece is evaluated on its own: up to level m, then down,
     with the Gammas below the seed's level applied on the way down.
-    The seedless pieces are summed by slot classes, and each class
-    group is multiplied by its classes and integrated once.
+    A seedless piece pulled back past a dimension is skipped before it
+    is climbed (`_past_a_dimension`): for some k < m, its factors
+    pulled back from W^k have codimension above dim W^k = k + 1, so
+    their product is zero, and so is the piece.  The other seedless
+    pieces are summed by slot classes, and each class group is
+    multiplied by its classes and integrated once.
     """
     total = CharacterPolynomial.zero()
     groups = {}
     for levels, classes, seed, coeff in _merge_words(words, m, True):
         if seed is None:
-            groups.setdefault(classes, []).append((coeff, _up(levels, m)))
+            if not _past_a_dimension(levels, classes, m):
+                groups.setdefault(classes, []).append(
+                    (coeff, _up(levels, m)))
             continue
         expr = _with_classes(_seeded_up(levels, seed, m), classes)
         lower = [k for k in levels if k < seed.m]

@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 from tautcalc import tautring
 from tautcalc.charpoly import CharacterPolynomial
 from tautcalc.exprparse import evaluate_integral, evaluate_normal
+from test_golden_diag import diag_monomials
+from test_golden_nodes import node_classes
 
 DATA = Path(__file__).parent / "data" / "golden_renders.txt"
 
@@ -184,7 +186,12 @@ def test_rewrite_output_equals_its_public_rebuild(monkeypatch):
 
     Rewrite rules build generators without the public checks; each one
     must equal its rebuild through the validating constructor, with the
-    same cached codimension and hash.
+    same cached codimension and hash.  Besides the golden cases, the
+    walk takes the Gamma image of every input of the golden diagonal and
+    node files at levels 2-4, but a diagonal monomial with a pin on a
+    one-slot block: the constructor takes it, though a pin joins two
+    side points, and its image holds node classes with that pin on a
+    side, which the node constructor refuses.
     """
     seen = {}
 
@@ -199,9 +206,19 @@ def test_rewrite_output_equals_its_public_rebuild(monkeypatch):
     for name in ("mul_gamma_diag", "mul_gamma_node", "mul_class",
                  "pullback", "pushforward"):
         monkeypatch.setattr(tautring, name, recording(getattr(tautring, name)))
+    walks = [lambda case=case: render_case(*case) for case in cases()]
+    for m in (2, 3, 4):
+        walks += [lambda gen=gen: tautring.mul_gamma_diag(gen)
+                  for gen in diag_monomials(m)
+                  if (1, "pin") not in [(len(b), key) for b, key in gen.blocks]]
+        walks += [lambda gen=gen: tautring.mul_gamma_node(gen)
+                  for gen in node_classes(m)]
     reached = 0
-    for m, kind, text in cases():
-        render_case(m, kind, text)
+    for walk in walks:
+        try:
+            walk()
+        except (ValueError, KeyError):
+            pass
         reached += len(seen)
         for gen in seen.values():
             rebuilt = _rebuild(gen)

@@ -457,6 +457,15 @@ class TestCliCharsFile:
         code, out, _ = run_cli(["nsec3", "--chars", str(cfg)])
         assert (code, out) == (0, "61\nN3 = 61/6\n")
 
+    def test_side_degrees_are_characters(self, tmp_path):
+        # the symbolic value is -g2J*sigma - 4*g2*sigma - 17*sigma
+        cfg = tmp_path / "chars.cfg"
+        cfg.write_text("sigma = 1\ng2 = -2\ng2J = 1\n")
+        code, out, _ = run_cli(["integrate", "-m", "4",
+                                "F(1|2:{3},{4}|)*Gamma<4>^3",
+                                "--chars", str(cfg)])
+        assert (code, out) == (0, "-10\n")
+
     def test_bad_key_rejected(self, tmp_path):
         cfg = tmp_path / "chars.cfg"
         cfg.write_text("bogus = 1\n")

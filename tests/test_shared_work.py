@@ -158,12 +158,13 @@ def climbs(monkeypatch):
 
 def test_one_nsec3_climbs_each_prefix_once(climbs):
     # the ten nsec3 integrals at level 3 climb every word of at most four
-    # Gammas: the 15 over levels 2 and 3 at level 3, and the 5 over level
-    # 2 at level 2, on the way up
+    # Gammas but Gamma<2>^4, which is past the dimension of W^2 and
+    # skipped: the other 14 over levels 2 and 3 at level 3, and the 4
+    # over level 2 at level 2, on the way up
     assert _run_cli(["nsec3"]) == 0
     assert set(climbs.values()) == {1}
-    assert sorted(Counter(k for _levels, k in climbs).items()) == [(2, 5),
-                                                                    (3, 15)]
+    assert sorted(Counter(k for _levels, k in climbs).items()) == [(2, 4),
+                                                                    (3, 14)]
 
 
 def test_direct_integrals_share_no_prefix(climbs):
@@ -173,9 +174,11 @@ def test_direct_integrals_share_no_prefix(climbs):
 
 
 def test_prefixes_are_keyed_by_levels_only():
-    # the same Gamma levels under different slot classes, at two levels
+    # the same Gamma levels under different slot classes, at two levels;
+    # the level-3 classes sit on slot 3, so the Gamma<2>^3 piece is kept
+    # under both
     texts = [("L(1)*Delta<2>^2", 2), ("omega(1)*Delta<2>^2", 2),
-             ("L(1)*Delta<2>^2*Delta<3>", 3),
+             ("L(3)*Delta<2>^2*Delta<3>", 3),
              ("omega(3)*Delta<2>^2*Delta<3>", 3)]
     alone = [evaluate_integral(text, m) for text, m in texts]
 

@@ -51,9 +51,12 @@ def test_character_config_parsing():
     omega2 = 0
     dL = -3/2
     g2 = sym
+    g2J = 1/2
+    g2K = sym
     """
     values = parse_character_config(text)
-    assert values == {"sigma": Fraction(12), "omega2": Fraction(0), "dL": Fraction(-3, 2)}
+    assert values == {"sigma": Fraction(12), "omega2": Fraction(0), "dL": Fraction(-3, 2),
+                      "g2J": Fraction(1, 2)}
     with pytest.raises(ValueError):
         parse_character_config("nope = 1")
     with pytest.raises(ValueError):
