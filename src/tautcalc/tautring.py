@@ -52,18 +52,19 @@ word evaluators behind `integrate_word` and `expand_monomial`, and
 `chern_taut`, open a scope when none is open (`tautcalc.shares_work`);
 `taut-calc` opens one around each command.  While it is open, `mul_gamma`
 looks up a generator's Gamma image, the class pass a generator's image
-under a slot class, and the up pass a sorted Gamma word times 1 at a
-level (the prefix table, keyed by Gamma levels and level; each entry is
-built from its longest prefix), before computing it.  The scope closes
-with the call that opened it; with none open every function computes
-afresh.
+under a slot class, and the up pass a sorted Gamma word times 1, or
+times a seed, at a level (the prefix table, keyed by Gamma levels and
+level, plus the seed for a seeded climb; each entry is built from its
+longest prefix), before computing it.  The scope closes with the call
+that opened it; with none open every function computes afresh.
 
-A sum of words expands into Gamma pieces.  The seedless pieces are
-summed by their slot classes before they are finished, so each class
-group is multiplied by its classes once and integrated (or added to
-the normal form) once, on terms that have already cancelled.  A seeded
-piece is finished on its own, its Gammas below the seed's level applied
-on the way down.
+A sum of words expands into Gamma pieces, each climbed from its seed
+(the unit when it has none).  A seeded piece's Gammas below the seed's
+level are its lower Gammas, applied on the way down.  The pieces are
+summed by their slot classes and lower Gammas before they are finished,
+so each group is multiplied by its classes once and integrated, pushed
+down or added to the normal form once, on terms that have already
+cancelled.
 
 An integral skips, before any climb, every seedless piece that is
 pulled back past a dimension.  Gamma^[j] for j <= k and a class on a
@@ -822,40 +823,27 @@ def _expand(word, m: int):
     return words, classes, seed
 
 
-def _up(levels, k: int) -> TautExpr:
-    """The sorted Gamma word `levels` times 1 at level k.
+def _up(levels, k: int, seed: TautExpr | None = None) -> TautExpr:
+    """The sorted Gamma word `levels` times the seed, or 1, at level k.
 
     Built from its longest prefix: the last Gamma applied when it sits
-    at level k, a pullback from level k - 1 otherwise, and the unit for
-    the empty word.  Every prefix is looked up in the open scope's
-    prefix table, keyed by (levels, k), before it is climbed, so words
-    that share a prefix climb it once.
+    at level k, a pullback from level k - 1 otherwise, and for the
+    empty word the seed at its own level, or the unit.  Every prefix is
+    looked up in the open scope's prefix table, keyed by (levels, k),
+    plus the seed for a seeded climb, so words that share a prefix and
+    a seed climb it once.
     """
     table = shared_table("prefix")
-    expr = table.get((levels, k))
+    key = (levels, k) if seed is None else (levels, k, seed)
+    expr = table.get(key)
     if expr is None:
-        if not levels:
-            expr = unit(k)
-        elif levels[-1] == k:
-            expr = mul_gamma(_up(levels[:-1], k))
+        if levels and levels[-1] == k:
+            expr = mul_gamma(_up(levels[:-1], k, seed))
+        elif levels or (seed is not None and k > seed.m):
+            expr = pullback(_up(levels, k - 1, seed))
         else:
-            expr = pullback(_up(levels, k - 1))
-        table[levels, k] = expr
-    return expr
-
-
-def _seeded_up(levels, seed: TautExpr, m: int) -> TautExpr:
-    """Up pass from the seed's level to level m.
-
-    The Gammas at each level are applied before pulling back; Gammas
-    below the seed's level are left for the down pass.
-    """
-    expr = seed
-    for k in range(seed.m, m + 1):
-        for _ in range(levels.count(k)):
-            expr = mul_gamma(expr)
-        if k < m:
-            expr = pullback(expr)
+            expr = unit(k) if seed is None else seed
+        table[key] = expr
     return expr
 
 
@@ -958,19 +946,10 @@ def _merge_words(words, m: int, integral: bool) -> list:
             for (levels, classes, seed), c in merged.items() if c]
 
 
-def _summed(group, m: int) -> TautExpr:
-    """The sum of coefficient times climbed Gamma word over the
-    (coefficient, word) pairs of one class group."""
-    expr = TautExpr(m)
-    for coeff, word in group:
-        _add_scaled(expr, word, coeff)
-    return expr
-
-
 def _past_a_dimension(levels, classes, m: int) -> bool:
     """Whether a seedless piece is pulled back past a dimension: for
     some k < m, its Gamma^[j] with j <= k and its classes on slots <= k
-    have codimension above k + 1 = dim W^k (see `_integrate_words`)."""
+    have codimension above k + 1 = dim W^k (see the module docstring)."""
     codim = [0] * (m + 1)
     for j in levels:
         codim[j] += 1
@@ -984,50 +963,51 @@ def _past_a_dimension(levels, classes, m: int) -> bool:
     return False
 
 
+def _groups(pieces, m: int):
+    """Yield (lower, expr) per (classes, lower) group of the (levels,
+    classes, seed, coefficient) pieces: the sum of the group's climbed
+    pieces, seeded and seedless alike, times its classes.
+
+    A seeded piece's Gammas below the seed's level are its lower
+    Gammas, left for the way down; the rest climb with `_up`.
+    """
+    groups = {}
+    for levels, classes, seed, coeff in pieces:
+        lower = ()
+        if seed is not None:
+            lower = tuple(k for k in levels if k < seed.m)
+            levels = levels[len(lower):]
+        expr = groups.setdefault((classes, lower), TautExpr(m))
+        _add_scaled(expr, _up(levels, m, seed), coeff)
+    for (classes, lower), expr in groups.items():
+        yield lower, _with_classes(expr, classes)
+
+
 @shares_work
 def _integrate_words(words, m: int) -> CharacterPolynomial:
     """Integral over W^m of a sum of (coefficient, word) pairs.
 
-    A seeded piece is evaluated on its own: up to level m, then down,
-    with the Gammas below the seed's level applied on the way down.
-    A seedless piece pulled back past a dimension is skipped before it
-    is climbed (`_past_a_dimension`): for some k < m, its factors
-    pulled back from W^k have codimension above dim W^k = k + 1, so
-    their product is zero, and so is the piece.  The other seedless
-    pieces are summed by slot classes, and each class group is
-    multiplied by its classes and integrated once.
+    A seedless piece pulled back past a dimension integrates to 0 and
+    is dropped unclimbed (`_past_a_dimension`).  Each group of `_groups`
+    is integrated, or pushed down past its lower Gammas, once.
     """
+    # only here: such a piece may still climb to a nonzero normal form
+    pieces = [(levels, classes, seed, c)
+              for levels, classes, seed, c in _merge_words(words, m, True)
+              if seed is not None or not _past_a_dimension(levels, classes, m)]
     total = CharacterPolynomial.zero()
-    groups = {}
-    for levels, classes, seed, coeff in _merge_words(words, m, True):
-        if seed is None:
-            if not _past_a_dimension(levels, classes, m):
-                groups.setdefault(classes, []).append(
-                    (coeff, _up(levels, m)))
-            continue
-        expr = _with_classes(_seeded_up(levels, seed, m), classes)
-        lower = [k for k in levels if k < seed.m]
-        value = _push_down(expr, lower) if lower else integrate(expr)
-        total = total + coeff * value
-    for classes, group in groups.items():
-        total = total + integrate(_with_classes(_summed(group, m), classes))
+    for lower, expr in _groups(pieces, m):
+        total = total + (_push_down(expr, lower) if lower else integrate(expr))
     return total
 
 
 @shares_work
 def _normal_words(words, m: int) -> TautExpr:
-    """Normal form at level m of a sum of (coefficient, word) pairs,
-    the seedless pieces summed by slot classes as in `_integrate_words`."""
+    """Normal form at level m of a sum of (coefficient, word) pairs: the
+    sum of the groups of `_groups`, which have no lower Gammas here."""
     out = TautExpr(m)
-    groups = {}
-    for levels, classes, seed, coeff in _merge_words(words, m, False):
-        if seed is None:
-            groups.setdefault(classes, []).append((coeff, _up(levels, m)))
-            continue
-        _add_scaled(out, _with_classes(_seeded_up(levels, seed, m), classes),
-                    coeff)
-    for classes, group in groups.items():
-        _add_scaled(out, _with_classes(_summed(group, m), classes), 1)
+    for _lower, expr in _groups(_merge_words(words, m, False), m):
+        _add_scaled(out, expr, 1)
     return out
 
 

@@ -4,7 +4,8 @@ A scope opened by a library entry point or by `cli.main` holds the
 Gamma images, the class images, the Vandermonde generators, the beta
 colengths and the climbed Gamma-word prefixes computed inside it, and
 closes when that call returns.  A sum of words is finished once per
-slot-class group, and equals the sum of its words finished alone.
+group of slot classes and lower Gammas, seeded and seedless pieces
+alike, and equals the sum of its words finished alone.
 """
 
 from __future__ import annotations
@@ -142,15 +143,17 @@ def test_golden_renders_twice_in_one_scope():
 
 @pytest.fixture
 def climbs(monkeypatch):
-    """Count the Gamma-word prefixes climbed, by (levels, k): a call of
-    `_up` whose key the open scope's prefix table does not hold yet."""
+    """Count the Gamma-word prefixes climbed, by (levels, k), or by
+    (levels, k, seed) for a seeded climb: a call of `_up` whose key the
+    open scope's prefix table does not hold yet."""
     counts = Counter()
     original = tautring._up
 
-    def counting(levels, k):
-        if (levels, k) not in tautcalc.shared_table("prefix"):
-            counts[levels, k] += 1
-        return original(levels, k)
+    def counting(levels, k, seed=None):
+        key = (levels, k) if seed is None else (levels, k, seed)
+        if key not in tautcalc.shared_table("prefix"):
+            counts[key] += 1
+        return original(levels, k, seed)
 
     monkeypatch.setattr(tautring, "_up", counting)
     return counts
@@ -171,6 +174,19 @@ def test_direct_integrals_share_no_prefix(climbs):
     first = evaluate_integral("Delta<3>^4", 3)
     assert evaluate_integral("Delta<3>^4", 3) == first
     assert climbs and set(climbs.values()) == {2}
+
+
+def test_equal_seeds_share_their_climbs(climbs):
+    # the two words' F(13:) atoms are two equal seeds: their pieces
+    # climb one seeded prefix table entry per Gamma word
+    seed = evaluate_normal("F(13:)", 3)
+    climbs.clear()
+    value = evaluate_integral("F(13:)*Gamma<3>^2 + F(13:)*Gamma<3>*L(2)", 3)
+    assert climbs == {((), 3, seed): 1, ((3,), 3, seed): 1,
+                      ((3, 3), 3, seed): 1}
+    assert value.render() == "-2*dL*sigma - 2*sigma"
+    assert value == (evaluate_integral("F(13:)*Gamma<3>^2", 3)
+                     + evaluate_integral("F(13:)*Gamma<3>*L(2)", 3))
 
 
 def test_prefixes_are_keyed_by_levels_only():
@@ -197,11 +213,20 @@ def test_prefixes_are_keyed_by_levels_only():
     assert {k for _levels, k in keys} == {2, 3}
 
 
+# seed atoms with their codimensions, by level
+SEEDS = {3: [("F(13:)", 2), ("NS(13:)", 3), ("q[{1,3}](1)", 1),
+             ("q[{2,3}](L)", 2)],
+         4: [("F(14:)", 2), ("NS(24:)", 3), ("q[{1,4}](1)", 1),
+             ("q[{1,2,4}](1)", 2)]}
+
+
 @st.composite
 def class_groups(draw):
     """A level m = 2..4, a degree and 2-4 (weight, word) summands of that
     degree, each word one of at most two class lists times Delta<k>s, so
-    that several summands fall into one class group."""
+    that several summands fall into one class group.  At m = 3 and 4 a
+    seed atom enters some summands, times Gamma<m>s in place of the
+    Delta<k>s, so that seeded and seedless pieces share a group."""
     m = draw(st.integers(2, 4))
     degree = draw(st.integers(1, m + 1))
     classes = st.sampled_from([f"{key}({i})" for key in ("L", "omega", "f")
@@ -209,11 +234,16 @@ def class_groups(draw):
     shared = draw(st.lists(st.lists(classes, max_size=degree),
                            min_size=1, max_size=2))
     deltas = st.sampled_from([f"Delta<{k}>" for k in range(2, m + 1)])
+    seed, codim = draw(st.sampled_from(SEEDS[m])) if m > 2 else (None, 0)
     summands = []
     for _ in range(draw(st.integers(2, 4))):
         word = draw(st.sampled_from(shared))
         rest = degree - len(word)
-        word = word + draw(st.lists(deltas, min_size=rest, max_size=rest))
+        if seed and rest >= codim and draw(st.booleans()):
+            word = [seed] + word + [f"Gamma<{m}>"] * (rest - codim)
+        else:
+            word = word + draw(st.lists(deltas, min_size=rest,
+                                        max_size=rest))
         summands.append((draw(weights), "*".join(word)))
     return m, degree, summands
 

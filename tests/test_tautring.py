@@ -4,8 +4,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import factorial
 from pathlib import Path
 
@@ -515,6 +516,79 @@ class TestNodeSeeds:
         with pytest.raises(UnsupportedProductError):
             integrate_word([("seed", seed), ("seed", seed),
                             G(3), G(3)], 3)
+
+
+# the level-3 words whose seeded splits disagree with the bottom-up value
+SPLITS_THAT_DIFFER = {
+    "Delta<2>*Delta<3>^3", "Delta<2>^2*Delta<3>*L(3)",
+    "Delta<2>^2*Delta<3>*omega(3)", "Delta<2>^2*Delta<3>^2",
+    "Delta<2>^3*Delta<3>", "Delta<2>^3*L(3)", "Delta<2>^3*omega(3)",
+    "Gamma<2>*Delta<2>*Delta<3>*L(3)", "Gamma<2>*Delta<2>*Delta<3>*omega(3)",
+    "Gamma<2>*Delta<2>*Delta<3>^2", "Gamma<2>*Delta<2>^2*Delta<3>",
+    "Gamma<2>*Delta<2>^2*L(3)", "Gamma<2>*Delta<2>^2*omega(3)",
+    "Gamma<2>*Delta<3>^3", "Gamma<2>*Gamma<3>*Delta<2>*Delta<3>",
+    "Gamma<2>*Gamma<3>*Delta<2>*L(3)", "Gamma<2>*Gamma<3>*Delta<2>*omega(3)",
+    "Gamma<2>*Gamma<3>*Delta<3>*L(3)", "Gamma<2>*Gamma<3>*Delta<3>*omega(3)",
+    "Gamma<2>*Gamma<3>*Delta<3>^2", "Gamma<2>*Gamma<3>^2*L(3)",
+    "Gamma<2>*Gamma<3>^2*omega(3)", "Gamma<2>^2*Delta<2>*Delta<3>",
+    "Gamma<2>^2*Delta<2>*L(3)", "Gamma<2>^2*Delta<2>*omega(3)",
+    "Gamma<2>^2*Delta<3>*L(3)", "Gamma<2>^2*Delta<3>*omega(3)",
+    "Gamma<2>^2*Delta<3>^2", "Gamma<2>^2*Gamma<3>*Delta<3>",
+    "Gamma<2>^2*Gamma<3>*L(3)", "Gamma<2>^2*Gamma<3>*omega(3)",
+    "Gamma<2>^3*Delta<3>", "Gamma<2>^3*L(3)", "Gamma<2>^3*omega(3)",
+    "Gamma<3>*Delta<2>*Delta<3>*L(3)", "Gamma<3>*Delta<2>*Delta<3>*omega(3)",
+    "Gamma<3>*Delta<2>*Delta<3>^2", "Gamma<3>*Delta<2>^2*Delta<3>",
+    "Gamma<3>*Delta<2>^2*L(3)", "Gamma<3>*Delta<2>^2*omega(3)",
+    "Gamma<3>^2*Delta<2>*L(3)", "Gamma<3>^2*Delta<2>*omega(3)",
+    "Gamma<3>^2*Delta<3>*L(3)", "Gamma<3>^2*Delta<3>*omega(3)",
+}
+
+
+def word_text(word):
+    """A flat factor list as the parser writes it, powers collected."""
+    names = {"gamma": "Gamma<{}>", "delta": "Delta<{}>"}
+    parts = []
+    for f, run in groupby(word):
+        n = len(list(run))
+        text = names[f[0]].format(f[1]) if f[0] in names else f"{f[2]}({f[1]})"
+        parts.append(text + (f"^{n}" if n > 1 else ""))
+    return "*".join(parts)
+
+
+def test_seeded_splits_of_level_three_words():
+    """Every split of a top-degree level-3 word into a seed part w1 and
+    a rest w2, the seed climbing with w2 as a typed seed does, against
+    the word integrated bottom up.
+
+    This is a list of known disagreements, not a statement that the
+    two agree: each differing split pushes down past Gammas below the
+    seed's level, and an exact pushforward of node scrolls and sections
+    is meant to shrink it.
+    """
+    counts = Counter()
+    differ = set()
+    factors = [G(2), G(3), D(2), D(3)] + [L(i) for i in (1, 2, 3)] + [
+        O(i) for i in (1, 2, 3)]
+    words = list(combinations_with_replacement(factors, 4))
+    assert len(words) == 715
+    for word in words:
+        want = integrate_word(list(word), 3)
+        splits = {(tuple(word[i] for i in idx),
+                   tuple(word[i] for i in range(4) if i not in idx))
+                  for n in (1, 2, 3) for idx in combinations(range(4), n)}
+        for w1, w2 in splits:
+            try:
+                got = integrate_word(list(w2), 3,
+                                     seed=expand_monomial(list(w1), 3))
+            except (ValueError, KeyError):
+                counts["refused"] += 1
+                continue
+            counts["value"] += 1
+            if got != want:
+                counts["differ"] += 1
+                differ.add(word_text(word))
+    assert counts == {"value": 7070, "refused": 355, "differ": 141}
+    assert differ == SPLITS_THAT_DIFFER
 
 
 class TestPushPull:
