@@ -13,6 +13,11 @@ Grammar (whitespace insensitive):
              | NAME '(' INT ')'          slot class, e.g. L(2)
              | NAME                      a character of the surface
 
+INT is a run of ASCII digits 0-9; any other digit, such as a
+superscript or an Arabic-Indic digit, is an unexpected character.
+NAME is a letter or underscore, then letters, digits and underscores,
+Unicode ones included.
+
 A slot class NAME(i) is a class of the surface pulled back from slot
 i, named by its block key: `omega`, `L` and `f` are divisors (degree
 1), `pt` is the point class (degree 2), `pin` is a point pinned on one
@@ -75,9 +80,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j

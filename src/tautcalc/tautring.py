@@ -879,14 +879,17 @@ def _word_codim(word, m: int):
 
     Returns None when a Delta^(1) factor or a zero seed kills the word.
     Factors are read up to a Delta^(1), so an out-of-range Gamma or Delta
-    index or an unknown factor before it is still an error; two seeds
-    are refused.
+    index, a seed above level m or an unknown factor before it is still
+    an error; two seeds are refused.
     """
     codim = 0
     seeds = []
     for factor, n in word:
         kind = factor[0]
         if kind == "seed":
+            if factor[1].m > m:
+                raise ValueError(
+                    f"seed at level {factor[1].m} above level {m}")
             seeds.append(factor[1])
             continue
         if kind == "gamma" and not 1 <= factor[1] <= m:
@@ -1011,35 +1014,27 @@ def _normal_words(words, m: int) -> TautExpr:
     return out
 
 
-def _with_seed(factors, seed):
-    word = [(f, 1) for f in factors]
-    if seed is not None:
-        word.append((("seed", seed), 1))
-    return [(1, word)]
-
-
-def expand_monomial(factors, m: int,
-                    seed: TautExpr | None = None) -> TautExpr:
+def expand_monomial(factors, m: int) -> TautExpr:
     """Normal form of a product word at level m.
 
     Factors: ("gamma", k) for Gamma^[k], ("delta", k) for Delta^(k) =
     Gamma^[k] - Gamma^[k-1], ("smalldiag",) for the small-diagonal
     correction, ("class", slot, key) for a slot class named by its block
-    key ("L", "omega", "f", "pt" or another divisor).  An optional seed
-    expression starts the pipeline at its own level.
+    key ("L", "omega", "f", "pt" or another divisor), and ("seed", expr)
+    for a typed class, anywhere in the list: at most one, at a level at
+    most m, which starts the pipeline at its own level.
     """
-    return _normal_words(_with_seed(factors, seed), m)
+    return _normal_words([(1, [(f, 1) for f in factors])], m)
 
 
-def integrate_word(factors, m: int,
-                   seed: TautExpr | None = None) -> CharacterPolynomial:
+def integrate_word(factors, m: int) -> CharacterPolynomial:
     """Integral over W^m of a product word.
 
     Unlike expand_monomial this also supports gamma factors below a
     seeded level, by pushing the evaluated top part down level by
     level (node scrolls are contracted along the way).
     """
-    return _integrate_words(_with_seed(factors, seed), m)
+    return _integrate_words([(1, [(f, 1) for f in factors])], m)
 
 
 @shares_work

@@ -208,10 +208,10 @@ def test_intersection_battery():
     # squares against a seeded node scroll
     for i in (1, 2):
         seed = evaluate_normal(f"F({i}3:)", 3)
-        assert (integrate_word([("gamma", 3), ("gamma", 3)], 3, seed=seed)
-                == -2 * sigma)
-        assert integrate_word([("gamma", 2), ("gamma", 2)], 3,
-                              seed=seed).is_zero()
+        assert (integrate_word([("gamma", 3), ("gamma", 3), ("seed", seed)],
+                               3) == -2 * sigma)
+        assert integrate_word([("gamma", 2), ("gamma", 2), ("seed", seed)],
+                              3).is_zero()
     assert elapsed(start) < 5.0
 
 
@@ -247,7 +247,8 @@ def test_fibre_integral_property():
               CP.constant(rng.randint(-4, 4)))
         u.add(NodeClass(2, (1, 2), 1, (), (), 1),
               CP.constant(rng.randint(-4, 4)))
-        assert integrate_word([("delta", 3)], 3, seed=u) == 2 * integrate(u)
+        assert (integrate_word([("delta", 3), ("seed", u)], 3)
+                == 2 * integrate(u))
 
 
 def test_grassmann_degrees():

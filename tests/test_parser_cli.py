@@ -276,6 +276,19 @@ class TestParseErrors:
         assert err == ("error: node profiles take no tag: the surface has no"
                        f" irreducible nodes at line 1, column {column}\n")
 
+    @pytest.mark.parametrize("text, ch, column", [
+        ("Delta<²>", "²", 7),
+        ("Delta<3>^²", "²", 10),
+        ("Gamma<٣>^4", "٣", 7),
+    ])
+    def test_only_ascii_digits_are_digits(self, text, ch, column):
+        # a superscript or Arabic-Indic digit is neither read as its
+        # value nor handed to int()
+        code, out, err = run_cli(["integrate", "-m", "3", text])
+        assert (code, out) == (1, "")
+        assert err == (f"error: unexpected character {ch!r} at line 1,"
+                       f" column {column}\n")
+
 
 class TestCliValues:
     def test_beta_row(self):

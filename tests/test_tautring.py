@@ -492,24 +492,53 @@ class TestMergedEvaluation:
 class TestNodeSeeds:
     def test_scroll_seed_integrals(self):
         seed = expr(3, ffill(3, (1, 3)))
-        assert integrate_word([G(3), G(3)], 3, seed=seed) == -2 * sigma
-        assert integrate_word([G(2), G(2)], 3, seed=seed) == CP.zero()
+        assert integrate_word([G(3), G(3), ("seed", seed)], 3) == -2 * sigma
+        assert integrate_word([G(2), G(2), ("seed", seed)], 3) == CP.zero()
 
     def test_gammas_below_seed_level_need_integration(self):
         # a normal form cannot host a gamma factor from below the
         # seeded level; the integral pipeline pushes down instead
         seed = expr(3, ffill(3, (1, 3)))
         with pytest.raises(UnsupportedProductError):
-            expand_monomial([G(2)], 3, seed=seed)
-        assert integrate_word([G(2), G(2)], 3, seed=seed) == CP.zero()
+            expand_monomial([G(2), ("seed", seed)], 3)
+        assert integrate_word([G(2), G(2), ("seed", seed)], 3) == CP.zero()
 
     def test_zero_seed_gives_zero(self):
         # a seed with no terms kills the word, as a Delta^(1) factor
         # does, whatever the word's length
         zero = TautExpr(3)
         for n in (1, 4, 5):
-            assert integrate_word([G(3)] * n, 3, seed=zero) == CP.zero()
-            assert expand_monomial([G(3)] * n, 3, seed=zero).is_zero()
+            assert integrate_word([G(3)] * n + [("seed", zero)], 3) == CP.zero()
+            assert expand_monomial([G(3)] * n + [("seed", zero)], 3).is_zero()
+
+    def test_seed_above_the_level_is_refused(self):
+        # the seed's level is checked with the word's other factors,
+        # before any climb or merge
+        seed = evaluate_normal("q[{1,2},{3}](1,L)", 4)
+        word = [G(3)] * 2 + [("seed", seed)]
+        for evaluate in (integrate_word, expand_monomial):
+            with pytest.raises(ValueError,
+                               match="^seed at level 4 above level 3$"):
+                evaluate(word, 3)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    @pytest.mark.parametrize("k, want", [(2, CP.zero()), (3, -2 * sigma)])
+    def test_seed_factor_equals_the_parser(self, i, k, want):
+        # a seed factor is read wherever it sits in the list
+        seed = ("seed", evaluate_normal(f"F({i}3:)", 3))
+        assert integrate_word([G(k), G(k), seed], 3) == want
+        assert integrate_word([seed, G(k), G(k)], 3) == want
+        assert evaluate_integral(f"F({i}3:)*Gamma<{k}>^2", 3) == want
+
+    @pytest.mark.parametrize("text, n, want", [
+        ("q[{1,2}](L)", 2, -8 * omegaL),
+        ("q[{1,2}](1)", 3, -18 * sigma + 26 * omega2),
+    ])
+    def test_diagonal_seed_factor_equals_the_parser(self, text, n, want):
+        seed = ("seed", evaluate_normal(text, 3))
+        assert integrate_word([G(3)] * n + [seed], 3) == want
+        assert integrate_word([seed] + [G(3)] * n, 3) == want
+        assert evaluate_integral(f"{text}*Gamma<3>^{n}", 3) == want
 
     def test_two_seeds_rejected(self):
         seed = expr(3, [(q(3, ((1, 2), "1")), one)])
@@ -578,8 +607,8 @@ def test_seeded_splits_of_level_three_words():
                   for n in (1, 2, 3) for idx in combinations(range(4), n)}
         for w1, w2 in splits:
             try:
-                got = integrate_word(list(w2), 3,
-                                     seed=expand_monomial(list(w1), 3))
+                got = integrate_word(
+                    list(w2) + [("seed", expand_monomial(list(w1), 3))], 3)
             except (ValueError, KeyError):
                 counts["refused"] += 1
                 continue
@@ -671,7 +700,7 @@ class TestFibreIntegralProperty:
             u.add(q(2, ((1,), "omega"), ((2,), "pt")), CP.constant(rng.randint(-4, 4)))
             u.add(q(2, ((1,), "pt"), ((2,), "pt")), CP.constant(rng.randint(-4, 4)))
             u.add(NS(2, (1, 2), 1), CP.constant(rng.randint(-4, 4)))
-            lhs = integrate_word([D(3)], 3, seed=u)
+            lhs = integrate_word([D(3), ("seed", u)], 3)
             assert lhs == 2 * integrate(u)
 
 
