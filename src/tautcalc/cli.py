@@ -9,7 +9,9 @@ engine-vs-printed discrepancies as NOTE lines.
 
 Each command imports the modules it runs inside its own function, so a
 fresh interpreter compiles and loads no engine for a staircase command
-and no oracle for an engine command.
+and no oracle for an engine command.  Likewise a command builds only
+its own argument parser; the full table of subcommands is built for
+help, a missing command or an unknown one.
 
 Exit codes: 0 success, 1 parse or usage error, 2 grading/dimension or
 unsupported-product error, 3 verify-paper mismatch.
@@ -47,6 +49,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         if arg_string[:1] == "-" and not _OPTION_SHAPE.fullmatch(arg_string):
             return None
         return super()._parse_optional(arg_string)
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    # the type of every integer argument: an optional sign and ASCII
+    # digits, where int() alone also reads other Unicode digits, "_"
+    # separators and surrounding spaces
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names the type in its message: "invalid int value: 'x'"
+_integer.__name__ = "int"
 
 
 def _rational(text: str) -> Fraction:
@@ -215,7 +233,7 @@ def cmd_chern(args) -> int:
 
 def _parse_factor(text: str):
     text = text.strip()
-    if len(text) < 2 or text[0] not in "rc" or not text[1:].isdigit():
+    if not re.fullmatch("[rc][0-9]+", text):
         raise _UsageError(
             f"bad factor {text!r}: use rN for a row strip, cN for a column")
     return ("row" if text[0] == "r" else "column", int(text[1:]))
@@ -227,7 +245,7 @@ def _factors(text: str) -> list:
 
 def _box(text: str) -> tuple[int, int]:
     try:
-        a, b = (int(x) for x in text.split(","))
+        a, b = (_integer(x) for x in text.split(","))
     except ValueError:
         raise _UsageError(f"bad box {text!r}: use A,B")
     return a, b
@@ -347,36 +365,36 @@ def _arg(*flags, **options):
 # subcommand also takes `--format`.
 _COMMANDS = {
     "alpha": (cmd_alpha, "discriminant ideal colength",
-              [_arg("level", type=int)]),
+              [_arg("level", type=_integer)]),
     "beta": (cmd_beta, "staircase weight row",
-             [_arg("level", type=int),
-              _arg("-j", "--slope", type=int, default=None),
+             [_arg("level", type=_integer),
+              _arg("-j", "--slope", type=_integer, default=None),
               _arg("--eta", type=_rational, default=None,
                    help="extra slope parameter for the genericity check")]),
     "colength": (cmd_colength, "colength of the level ideal",
-                 [_arg("level", type=int)]),
+                 [_arg("level", type=_integer)]),
     "vdm-check": (cmd_vdm_check,
                   "chain and syzygy identities on the mixed Vandermondes",
-                  [_arg("-m", "--level", type=int, default=None)]),
+                  [_arg("-m", "--level", type=_integer, default=None)]),
     "ord-table": (cmd_ord_table, "arc valuations by stratum size",
-                  [_arg("-m", "--level", type=int, default=None),
-                   _arg("--seed", type=int, default=0,
+                  [_arg("-m", "--level", type=_integer, default=None),
+                   _arg("--seed", type=_integer, default=0,
                         help="accepted and changes nothing: the order is"
                              " exact")]),
     "eta": (cmd_eta, "t-order of e_m(y)^(i+j-2) G_1^2",
-            [_arg("level", type=int), _arg("i", type=int),
-             _arg("j", type=int)]),
+            [_arg("level", type=_integer), _arg("i", type=_integer),
+             _arg("j", type=_integer)]),
     "normalize": (cmd_normalize, "normal form of a product word",
-                  [_arg("-m", "--level", type=int, required=True),
+                  [_arg("-m", "--level", type=_integer, required=True),
                    _arg("expr")]),
     "integrate": (cmd_integrate, "integral of a product word",
-                  [_arg("-m", "--level", type=int, required=True),
+                  [_arg("-m", "--level", type=_integer, required=True),
                    _arg("expr"),
                    _arg("--chars", default=None,
                         help="character assignment file; keys become"
                              " numbers")]),
     "chern": (cmd_chern, "graded pieces of the bundle class",
-              [_arg("-m", "--level", type=int, required=True)]),
+              [_arg("-m", "--level", type=_integer, required=True)]),
     "schubert": (cmd_schubert, "boxed Grassmannian integral",
                  [_arg("--box", type=_box, required=True,
                        help="A,B bounding box"),
@@ -390,30 +408,38 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names) -> _ArgumentParser:
-    """The parser with a subparser for each of names, in table order."""
+def _add_command(parser: _ArgumentParser, name: str) -> None:
+    """Give parser the `--format`, arguments and defaults of command name."""
+    func, _, arguments = _COMMANDS[name]
+    parser.set_defaults(func=func, command=name)
+    parser.add_argument("--format", choices=("pretty", "kv"),
+                        default="pretty")
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+
+
+def _build_parser() -> _ArgumentParser:
+    """The parser with a subparser for each command, in table order."""
     parser = _ArgumentParser(prog="taut-calc",
                              description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text, arguments) in _COMMANDS.items():
-        if name not in names:
-            continue
-        p = sub.add_parser(name, help=text)
-        p.set_defaults(func=func)
-        p.add_argument("--format", choices=("pretty", "kv"),
-                       default="pretty")
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
+    for name, (_, text, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # one command builds only its own subparser; help, no command or an
-    # unknown one gets the whole table, so its message lists every command
-    known = bool(argv) and argv[0] in _COMMANDS
-    parser = _build_parser([argv[0]] if known else _COMMANDS)
+    # a command builds only its own parser, the one its subparser would
+    # be; help, no command or an unknown one gets the whole table, so its
+    # message lists every command
+    if argv and argv[0] in _COMMANDS:
+        parser = _ArgumentParser(prog=f"taut-calc {argv[0]}")
+        _add_command(parser, argv[0])
+        argv = argv[1:]
+    else:
+        parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         _check_ranges(args)

@@ -289,6 +289,23 @@ class TestParseErrors:
         assert err == (f"error: unexpected character {ch!r} at line 1,"
                        f" column {column}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["integrate", "-m", "٣", "Delta<3>^4"],
+         "argument -m/--level: invalid int value: '٣'"),
+        (["beta", "١٢"], "argument level: invalid int value: '١٢'"),
+        (["beta", "1_2"], "argument level: invalid int value: '1_2'"),
+        (["eta", "٤", "1", "2"], "argument level: invalid int value: '٤'"),
+        (["schubert", "--box", "٢,4", "--factors", "r2,r3,r3"],
+         "bad box '٢,4': use A,B"),
+        (["schubert", "--box", "2,4", "--factors", "r٣,r3,r2"],
+         "bad factor 'r٣': use rN for a row strip, cN for a column"),
+        (["schubert", "--box", "2,4", "--factors", "r²,r3"],
+         "bad factor 'r²': use rN for a row strip, cN for a column"),
+    ])
+    def test_integer_arguments_read_only_ascii_digits(self, argv, message):
+        # int() alone reads any Unicode digit and "_" separators
+        assert run_cli(argv) == (1, "", f"error: {message}\n")
+
 
 class TestCliValues:
     def test_beta_row(self):
@@ -746,9 +763,9 @@ class TestCliExitCodes:
 
 
 class TestOneSubcommandParser:
-    """`main` builds only the named command's subparser, and the whole
-    table for help, no command or an unknown one; both parsers answer
-    every command line alike."""
+    """`main` builds only the named command's parser, and the whole
+    table for help, no command or an unknown one; the command's parser
+    and its subparser in the table answer every command line alike."""
 
     # per command: a valid tail, one with a bad type, one missing an
     # argument
@@ -790,10 +807,20 @@ class TestOneSubcommandParser:
                   valid + ["--format", "kv"]]
         argvs = [[name] + tail for tail in corpus]
         one = [self.run(argv) for argv in argvs]
+
+        class TableOnly(dict):
+            # main finds no command in it, so every command line goes
+            # through the full table, whose subparsers read the same rows
+            def __contains__(self, name):
+                return False
+
+        built = []
         full = cli._build_parser
+        monkeypatch.setattr(cli, "_COMMANDS", TableOnly(cli._COMMANDS))
         monkeypatch.setattr(cli, "_build_parser",
-                            lambda names: full(cli._COMMANDS))
+                            lambda: built.append(1) or full())
         assert [self.run(argv) for argv in argvs] == one
+        assert len(built) == len(argvs)
         codes = [code for code, _, _ in one]
         assert codes[0] == codes[5] == 0 and codes[4] == ("exit", 0)
         assert codes[1] == codes[2] == codes[3] == 1
@@ -802,14 +829,10 @@ class TestOneSubcommandParser:
     def test_no_known_command_gets_the_whole_table(self, argv, monkeypatch):
         built = []
         full = cli._build_parser
-
-        def spy(names):
-            built.append(list(names))
-            return full(names)
-
-        monkeypatch.setattr(cli, "_build_parser", spy)
+        monkeypatch.setattr(cli, "_build_parser",
+                            lambda: built.append(1) or full())
         code, out, err = self.run(argv)
-        assert built == [list(cli._COMMANDS)]
+        assert built == [1]
         if argv == ["-h"]:
             assert code == ("exit", 0)
             assert "{" + ",".join(cli._COMMANDS) + "}" in out
@@ -819,13 +842,19 @@ class TestOneSubcommandParser:
             if argv:
                 assert "invalid choice" in err and "'verify-paper'" in err
 
-    def test_a_command_builds_only_its_own_subparser(self, monkeypatch):
+    def test_a_command_builds_one_parser_and_no_table(self, monkeypatch):
+        # the table would be a "taut-calc" parser and one subparser per
+        # command, each of this class
         built = []
-        full = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser",
-                            lambda names: built.append(names) or full(names))
+
+        class Counted(cli._ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+
+        monkeypatch.setattr(cli, "_ArgumentParser", Counted)
         assert self.run(["alpha", "3"]) == (0, "5\n", "")
-        assert built == [["alpha"]]
+        assert built == ["taut-calc alpha"]
 
 
 class TestCommandImports:
